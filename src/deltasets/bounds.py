@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from . import smallness
-from .extremal import degree_order, size_curve, stabilization_index
+from .extremal import _degree_pools, degree_order, size_curve, stabilization_index
 from .graphs import Graph, VertexSet
 from .partition import (
     BRUTE_LIMIT,
@@ -488,7 +488,6 @@ def build_report(
         raise ValueError("graph must have at least one vertex")
     if exact_limit is None:
         exact_limit = DEFAULT_EXACT_LIMIT
-    k_max = max(1, k_max)
     exact: dict = {}
     skipped: dict = {}
 
@@ -756,6 +755,18 @@ class VerifySummary:
         return not self.findings
 
 
+def _class_representatives(pools: list[list[int]]) -> list[int]:
+    """One vertex mask per degree-class count vector, built from the
+    lowest-id members of each class in ``pools``."""
+    prefixes = []
+    for pool in pools:
+        masks = [0]
+        for v in pool:
+            masks.append(masks[-1] | 1 << v)
+        prefixes.append(masks)
+    return [sum(combo) for combo in itertools.product(*prefixes)]  # disjoint classes
+
+
 def _verify_graph(
     g: Graph,
     gid: str,
@@ -781,11 +792,16 @@ def _verify_graph(
         if row.applicable and row.satisfied is not None:
             checks.append(("bound-table", row.satisfied, f"{row.name} vs {row.target}"))
 
-    # predicate implications, exhaustive on small graphs, sampled otherwise
+    # predicate implications. Both predicates read only a set's size and
+    # degree multiset, so one representative per degree-class count vector
+    # stands for every subset: the sweep is exhaustive while there are at most
+    # 1 << subset_limit vectors and falls back to seeded random masks beyond.
     n = g.n
+    pools = _degree_pools(g)
+    reps: list[int] | None = None
     masks: Iterable[int]
-    if n <= subset_limit:
-        masks = range(1 << n)
+    if math.prod(len(pool) + 1 for pool in pools) <= 1 << subset_limit:
+        masks = reps = _class_representatives(pools)
     else:
         rng = random.Random(0xD5)
         masks = [rng.randrange(1 << n) for _ in range(256)]
@@ -820,12 +836,12 @@ def _verify_graph(
                 ok = partition_power_mean_check(g, res.witness, k)
                 checks.append(("partition-mean", ok, f"exponent {k}, {res.value} parts"))
 
-    # stabilization: exhaustive confirmation of the computed index
-    if n <= min(stabilization_limit, subset_limit):
-        k0 = stabilization_index(g, limit=stabilization_limit)
+    # stabilization: exhaustive confirmation of the index build_report computed
+    k0 = report.exact.get("stabilization_index")
+    if reps is not None and k0 is not None:
         confirm = all(
             smallness.is_small(g, VertexSet(g, mask)).holds
-            for mask in range(1 << n)
+            for mask in reps
             if smallness.is_delta_small(g, VertexSet(g, mask), k0).holds
         )
         checks.append(("stabilization", confirm, f"all power-mean sets small at k={k0}"))
@@ -833,7 +849,7 @@ def _verify_graph(
             witness = any(
                 not smallness.is_small(g, VertexSet(g, mask)).holds
                 and smallness.is_delta_small(g, VertexSet(g, mask), k0 - 1).holds
-                for mask in range(1 << n)
+                for mask in reps
             )
             checks.append(("stabilization", witness, f"violator exists at k={k0 - 1}"))
     return checks

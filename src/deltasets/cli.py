@@ -163,21 +163,50 @@ def _add_corpus_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="default seed for generator specs")
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _env_exact_limit() -> int:
+    raw = os.environ.get(ENV_EXACT_LIMIT)
+    if not raw:
+        return DEFAULT_EXACT_LIMIT
+    try:
+        return int(raw)
+    except ValueError:
+        raise SystemExit(_fail(f"{ENV_EXACT_LIMIT} must be an integer, got {raw!r}")) from None
+
+
 def _add_limit_options(p: argparse.ArgumentParser) -> None:
-    env_limit = os.environ.get(ENV_EXACT_LIMIT)
     p.add_argument(
-        "--kmax", type=int, default=8, help="largest exponent in curves and bound tables"
+        "--kmax",
+        type=_int_at_least(1),
+        default=8,
+        help="largest exponent in curves and bound tables",
     )
     p.add_argument(
         "--exact-limit",
         type=int,
-        default=int(env_limit) if env_limit else DEFAULT_EXACT_LIMIT,
+        default=_env_exact_limit(),
         help=f"largest n solved exactly (env {ENV_EXACT_LIMIT} overrides the default)",
     )
     p.add_argument("--clique-limit", type=int, default=CLIQUE_LIMIT)
     p.add_argument("--chromatic-limit", type=int, default=CHROMATIC_LIMIT)
     p.add_argument("--stabilization-limit", type=int, default=10)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for per-graph work")
+    p.add_argument(
+        "--jobs", type=_int_at_least(1), default=1, help="worker processes for per-graph work"
+    )
     p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 
 
@@ -473,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="stream staircase-gap records as JSON lines")
     _add_corpus_options(p_scan)
     _add_limit_options(p_scan)
-    p_scan.add_argument("--resume-from", type=int, default=0, metavar="N",
+    p_scan.add_argument("--resume-from", type=_int_at_least(0), default=0, metavar="N",
                         help="skip the first N graphs (JSON lines already emitted)")
     p_scan.set_defaults(func=_cmd_scan)
 
@@ -497,9 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

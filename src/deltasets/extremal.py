@@ -10,13 +10,18 @@ As the exponent grows the power mean climbs toward the maximum member degree,
 so the delta-k family of feasible sets shrinks with k and the maximum size is
 non-increasing, reaching the plain-small maximum at a finite exponent. The
 index where the two predicates coincide for *every* subset is computed
-exhaustively in ``stabilization_index``.
+exhaustively in ``stabilization_index``. Both predicates depend only on a
+set's size and degree multiset, so that search runs over degree-class count
+vectors (one per multiset, prod(c_i + 1) of them for class sizes c_i) rather
+than over all 2**n vertex masks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import SizeLimitError, StabilizationError
 from .graphs import Graph
@@ -46,6 +51,32 @@ class SizeCurve:
 def degree_order(g: Graph) -> tuple[int, ...]:
     """Vertex ids sorted by ascending degree, ties broken by ascending id."""
     return tuple(sorted(range(g.n), key=lambda v: (g.degrees[v], v)))
+
+
+def _degree_classes(degs: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Distinct values of a sorted degree sequence and how often each occurs."""
+    vals: list[int] = []
+    counts: list[int] = []
+    for d in degs:
+        if vals and vals[-1] == d:
+            counts[-1] += 1
+        else:
+            vals.append(d)
+            counts.append(1)
+    return vals, counts
+
+
+def _degree_pools(g: Graph) -> list[list[int]]:
+    """``degree_order`` cut into its degree classes: one list of vertex ids per
+    distinct degree, classes by ascending degree, ids ascending within each."""
+    order = degree_order(g)
+    _, counts = _degree_classes([g.degrees[v] for v in order])
+    pools: list[list[int]] = []
+    pos = 0
+    for c in counts:
+        pools.append(list(order[pos : pos + c]))
+        pos += c
+    return pools
 
 
 def max_small_size(g: Graph) -> int:
@@ -129,49 +160,46 @@ def size_curve(g: Graph, k_max: int, hard_cap: int | None = None) -> SizeCurve:
 def stabilization_index(g: Graph, limit: int = STABILIZATION_LIMIT) -> int:
     """Least exponent k* such that for all k >= k*, every delta-k-small set is small.
 
-    Checks all 2**n subsets: for each non-small subset the exponents at which
-    it still passes the power-mean test form a prefix 1..K (the power mean is
-    non-decreasing in k), so k* is one past the largest such K. The inner loop
-    is guaranteed to stop because the power mean converges to the maximum
-    member degree, which exceeds the fixed threshold n - |W|; an explicit
-    per-subset cap asserts that.
+    Exhaustive over every vertex subset, visited one degree multiset at a time:
+    both predicates see only a set's size and member degrees, so each vector
+    of per-degree-class counts stands for all subsets with that multiset, and
+    prod(c_i + 1) vectors cover all 2**n subsets. For each non-small multiset
+    the exponents at which it still passes the power-mean test form a prefix
+    1..K (the power mean is non-decreasing in k), so k* is one past the
+    largest such K. The inner loop is guaranteed to stop because the power
+    mean converges to the maximum member degree, which exceeds the fixed
+    threshold n - |W|; an explicit per-set cap asserts that.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     if g.n > limit:
         raise SizeLimitError(f"stabilization search capped at n={limit} (got {g.n})")
     n = g.n
-    degrees = g.degrees
+    vals, counts = _degree_classes(sorted(g.degrees))
     best = 1
-    for mask in range(1, 1 << n):
-        degs = []
-        m = mask
-        top = 0
-        while m:
-            bit = m & -m
-            d = degrees[bit.bit_length() - 1]
-            degs.append(d)
-            if d > top:
-                top = d
-            m ^= bit
-        size = len(degs)
+    for cvec in itertools.product(*(range(c + 1) for c in counts)):
+        members = [(d, c) for d, c in zip(vals, cvec) if c]
+        if not members:
+            continue  # the empty set is small
+        size = sum(cvec)
         t = n - size
+        top = members[-1][0]  # classes ascend by degree
         if top <= t:
             continue  # small sets are never violators
         if t == 0:
             continue  # positive power sum can never fit a zero threshold
         cap = 2 + math.ceil(math.log(size) / math.log(top / (top - 0.5))) if size > 1 else 1
-        powers = list(degs)
+        powers = [d for d, _ in members]
         k = 1
         last_ok = 0
-        while sum(powers) <= size * t**k:
+        while sum(p * c for p, (_, c) in zip(powers, members)) <= size * t**k:
             last_ok = k
             k += 1
             if k > cap + 2:
                 raise StabilizationError(
-                    f"subset {mask:#x} still passes the power-mean test at k={k}"
+                    f"degree multiset {dict(members)} still passes the power-mean test at k={k}"
                 )
-            powers = [p * d for p, d in zip(powers, degs)]
+            powers = [p * d for p, (d, _) in zip(powers, members)]
         if last_ok + 1 > best:
             best = last_ok + 1
     return best

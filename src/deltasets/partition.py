@@ -20,11 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import smallness
 from .errors import SizeLimitError, StabilizationError
-from .extremal import degree_order
+from .extremal import _degree_classes, _degree_pools, degree_order
 from .graphs import Graph, VertexSet
 
 DEFAULT_EXACT_LIMIT = 18
@@ -132,18 +132,6 @@ def make_partition(
 # exact minimizer over degree-class count vectors
 
 
-def _degree_classes(degs: Sequence[int]) -> tuple[list[int], list[int]]:
-    vals: list[int] = []
-    counts: list[int] = []
-    for d in degs:
-        if vals and vals[-1] == d:
-            counts[-1] += 1
-        else:
-            vals.append(d)
-            counts.append(1)
-    return vals, counts
-
-
 def _min_parts_impl(n: int, degs: tuple[int, ...], kind: str, k: int):
     vals, counts = _degree_classes(degs)
     m = len(vals)
@@ -248,13 +236,7 @@ def _min_parts_by_degrees(n: int, degs: tuple[int, ...], kind: str, k: int):
 
 def _materialize(g: Graph, part_vectors, kind: str, k: int | None) -> Partition:
     """Assign concrete vertex ids to count-vector parts (lowest ids first)."""
-    order = degree_order(g)
-    vals, counts = _degree_classes([g.degrees[v] for v in order])
-    pools: list[list[int]] = []
-    pos = 0
-    for c in counts:
-        pools.append(list(order[pos : pos + c]))
-        pos += c
+    pools = _degree_pools(g)
     ids_parts: list[list[int]] = []
     for cvec in part_vectors:
         ids: list[int] = []

@@ -301,3 +301,85 @@ def test_verify_corpus_clean():
 def test_verify_corpus_empty():
     summary = verify_corpus([])
     assert summary.ok and summary.graphs == 0 and summary.checks == 0
+
+
+def _full_sweep_checks(g, k0):
+    """Predicate and stabilization triples from a sweep over all 2**n vertex
+    masks, with k0 from the brute-force oracle."""
+    from deltasets import is_small
+
+    n = g.n
+    regular = g.max_degree == g.min_degree
+    ok_impl = ok_chain = ok_reg = True
+    confirm, witness = True, False
+    for mask in range(1 << n):
+        w = [v for v in range(n) if mask >> v & 1]
+        small = is_small(g, w).holds
+        dks = [is_delta_small(g, w, k).holds for k in range(1, 5)]
+        ok_impl &= not small or all(dks)
+        ok_chain &= all(a or not b for a, b in zip(dks, dks[1:]))
+        ok_reg &= not regular or all(dk == small for dk in dks)
+        confirm &= small or not is_delta_small(g, w, k0).holds
+        witness |= k0 > 1 and not small and is_delta_small(g, w, k0 - 1).holds
+    pred = [
+        ("predicates", ok_impl, "small sets pass every power-mean exponent"),
+        ("predicates", ok_chain, "power-mean feasibility shrinks with the exponent"),
+    ]
+    if regular:
+        pred.append(("predicates", ok_reg, "regular graphs: power-mean equals pointwise"))
+    stab = [("stabilization", confirm, f"all power-mean sets small at k={k0}")]
+    if k0 > 1:
+        stab.append(("stabilization", witness, f"violator exists at k={k0 - 1}"))
+    return pred, stab
+
+
+_VERIFY_PARAMS = dict(
+    k_max=4, exact_limit=18, clique_limit=20, chromatic_limit=16, stabilization_limit=10
+)
+
+
+def test_verify_graph_matches_full_mask_sweep():
+    from oracles import brute_stabilization_index
+
+    from deltasets.bounds import _verify_graph
+
+    graphs = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    graphs += [gen_gnp(10, (0.2, 0.5, 0.8)[i % 3], seed=1300 + i) for i in range(6)]
+    for g in graphs:
+        got = _verify_graph(g, "g", **_VERIFY_PARAMS)
+        pred, stab = _full_sweep_checks(g, brute_stabilization_index(g.degrees))
+        expected = (
+            [c for c in got if c[0] == "bound-table"]
+            + pred
+            + [c for c in got if c[0] == "partition-mean"]
+            + stab
+        )
+        assert got == expected
+
+
+def test_verify_predicate_sweep_catches_one_faulty_multiset(monkeypatch):
+    from deltasets import smallness
+    from deltasets.bounds import _verify_graph
+
+    g = gen_gnp(10, 0.5, seed=1400)
+    assert g.max_degree > g.min_degree
+    # a small pair from the lowest and the highest degree class: no prefix of
+    # the degree order has this multiset, so only a sweep over every count
+    # vector meets it
+    bad = [g.min_degree, g.max_degree]
+    assert g.max_degree <= g.n - 2
+    params = dict(_VERIFY_PARAMS, k_max=1)  # partition witnesses certify at k=1 only
+    assert all(ok for _, ok, _ in _verify_graph(g, "g", **params))
+
+    real = smallness.is_delta_small
+
+    def faulty(graph, members, k):
+        verdict = real(graph, members, k)
+        degs = sorted(graph.degrees[v] for v in smallness.coerce_set(graph, members))
+        if k == 3 and degs == bad:
+            return smallness.SmallnessVerdict(kind="delta", holds=False, k=k)
+        return verdict
+
+    monkeypatch.setattr(smallness, "is_delta_small", faulty)
+    checks = _verify_graph(g, "g", **params)
+    assert ("predicates", False, "small sets pass every power-mean exponent") in checks

@@ -1,6 +1,9 @@
 import json
+import os
 import subprocess
 import sys
+
+import pytest
 
 
 def run_cli(*args, **kwargs):
@@ -151,11 +154,33 @@ def test_jobs_flag_verify_and_scan_identical():
 
 
 def test_exact_limit_env_override(tmp_path):
-    import os
-
     env = dict(os.environ)
     env["DELTASETS_EXACT_LIMIT"] = "4"
     result = run_cli("analyze", "--gnp", "n=6,p=0.5,seed=1", "--emit", "json", env=env)
     assert result.returncode == 0
     payload = json.loads(result.stdout.splitlines()[0])
     assert "min_parts" in payload["skipped"]
+
+
+def test_bad_exact_limit_env_exit_1():
+    env = dict(os.environ, DELTASETS_EXACT_LIMIT="abc")
+    result = run_cli("fuzz-lemma", "--trials", "1", env=env)
+    assert result.returncode == 1
+    assert result.stderr == "deltasets: error: DELTASETS_EXACT_LIMIT must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("scan", "--exhaustive", "3", "--resume-from", "-3"), "--resume-from"),
+        (("analyze", "--gnp", "n=5,p=0.5", "--kmax", "0"), "--kmax"),
+        (("verify", "--gnp", "n=5,p=0.5", "--jobs", "0"), "--jobs"),
+        (("verify", "--gnp", "n=5,p=0.5", "--jobs", "-4"), "--jobs"),
+    ],
+)
+def test_out_of_range_flag_exit_1(args, flag):
+    result = run_cli(*args)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert f"deltasets: error: argument {flag}: must be at least" in result.stderr
+    assert "Traceback" not in result.stderr

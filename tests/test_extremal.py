@@ -121,8 +121,15 @@ def test_stabilization_matches_oracle_exhaustive():
 
 
 def test_stabilization_matches_oracle_sampled():
-    for i in range(15):
-        g = gen_gnp(9, (0.2, 0.5, 0.8)[i % 3], seed=400 + i)
+    graphs = [gen_gnp(9, (0.2, 0.5, 0.8)[i % 3], seed=400 + i) for i in range(15)]
+    # repeated degrees: few classes, many vertices per class
+    graphs += [gen_regular(10, 3, seed=3), gen_regular(12, 5, seed=4)]
+    graphs += [from_edge_list(n, [(0, i) for i in range(1, n)]) for n in (10, 11, 12)]
+    graphs += [
+        from_edge_list(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+        for a, b in ((3, 7), (4, 7), (2, 10), (5, 6))
+    ]
+    for g in graphs:
         assert stabilization_index(g) == brute_stabilization_index(g.degrees)
 
 
