@@ -828,9 +828,9 @@ def _verify_graph(
         checks.append(("predicates", ok_reg, "regular graphs: power-mean equals pointwise"))
 
     # power-mean partition inequality on the curve witnesses
-    if n <= exact_limit:
-        curve = partition_curve(g, k_max, limit=exact_limit)
-        for k in range(1, min(k_max, len(curve.values)) + 1):
+    curve = report.exact.get("min_parts_delta")  # present iff n <= exact_limit
+    if curve is not None:
+        for k in range(1, min(k_max, len(curve)) + 1):
             res = min_partition(g, "delta", k, limit=exact_limit)
             if k <= res.value:
                 ok = partition_power_mean_check(g, res.witness, k)

@@ -183,9 +183,12 @@ def _env_exact_limit() -> int:
     if not raw:
         return DEFAULT_EXACT_LIMIT
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise SystemExit(_fail(f"{ENV_EXACT_LIMIT} must be an integer, got {raw!r}")) from None
+    if value < 0:
+        raise SystemExit(_fail(f"{ENV_EXACT_LIMIT} must be at least 0, got {value}"))
+    return value
 
 
 def _add_limit_options(p: argparse.ArgumentParser) -> None:
@@ -197,13 +200,13 @@ def _add_limit_options(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--exact-limit",
-        type=int,
+        type=_int_at_least(0),
         default=_env_exact_limit(),
         help=f"largest n solved exactly (env {ENV_EXACT_LIMIT} overrides the default)",
     )
-    p.add_argument("--clique-limit", type=int, default=CLIQUE_LIMIT)
-    p.add_argument("--chromatic-limit", type=int, default=CHROMATIC_LIMIT)
-    p.add_argument("--stabilization-limit", type=int, default=10)
+    p.add_argument("--clique-limit", type=_int_at_least(0), default=CLIQUE_LIMIT)
+    p.add_argument("--chromatic-limit", type=_int_at_least(0), default=CHROMATIC_LIMIT)
+    p.add_argument("--stabilization-limit", type=_int_at_least(0), default=10)
     p.add_argument(
         "--jobs", type=_int_at_least(1), default=1, help="worker processes for per-graph work"
     )
@@ -225,13 +228,12 @@ def _json_line(obj) -> str:
 # analyze
 
 
-def _report_worker(payload):
+def _report_worker(payload) -> bounds_mod.BoundReport:
     (gid, adj), kwargs = payload
-    report = bounds_mod.build_report(Graph(adj), gid, **kwargs)
-    return bounds_mod.report_to_dict(report)
+    return bounds_mod.build_report(Graph(adj), gid, **kwargs)
 
 
-def _analyze_reports(cfg: RunConfig) -> list[dict]:
+def _analyze_reports(cfg: RunConfig) -> list[bounds_mod.BoundReport]:
     kwargs = dict(
         k_max=cfg.k_max,
         exact_limit=cfg.exact_limit,
@@ -276,27 +278,21 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _make_config("analyze", args)
     reports = _analyze_reports(cfg)
     if cfg.emit == "json":
-        text = "".join(_json_line(d) + "\n" for d in reports)
+        text = "".join(_json_line(bounds_mod.report_to_dict(r)) + "\n" for r in reports)
     elif cfg.emit == "csv":
         rows = [bounds_mod.CSV_HEADER]
-        for d in reports:
-            for row in d["bounds"]:
-                sat = "" if row["satisfied"] is None else str(row["satisfied"]).lower()
-                just = str(row["justification"]).replace('"', "'")
-                rows.append(
-                    f"{d['graph']},{d['n']},{row['name']},{row['target']},"
-                    f"{row['value']},{str(row['applicable']).lower()},{sat},\"{just}\""
-                )
+        for r in reports:
+            rows.extend(bounds_mod.report_csv_rows(r))
         text = "\n".join(rows) + "\n"
     else:
-        text = "".join(_human_report(d) for d in reports)
+        text = "".join(_human_report(bounds_mod.report_to_dict(r)) for r in reports)
     _emit_text(text, cfg.out)
-    if any(d["findings"] for d in reports):
+    if any(r.findings() for r in reports):
         # a finding only sets the exit code after a from-scratch recomputation
         from .partition import _min_parts_by_degrees
 
         _min_parts_by_degrees.cache_clear()
-        if any(d["findings"] for d in _analyze_reports(cfg)):
+        if any(r.findings() for r in _analyze_reports(cfg)):
             return EXIT_FINDING
     return EXIT_OK
 

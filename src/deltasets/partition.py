@@ -2,14 +2,28 @@
 alpha-small parts, plus exact clique, independence, and chromatic numbers.
 
 Whether a part is feasible depends only on its degree multiset, its size, and
-n, never on the induced subgraph. The minimizer therefore runs over vectors of
-per-degree-class counts rather than raw vertex subsets: states are
-"remaining count per distinct degree", and every sub-multiset that contains a
-vertex of the lowest remaining class is tried as the next part. That is the
-full subset dynamic program collapsed by the equal-degree symmetry; nothing is
-skipped, which matters because power-mean feasibility is not closed under
-subsets (a part mixing one high-degree vertex with several low-degree ones can
-pass while its high-degree sub-pair fails).
+n, never on the induced subgraph. The minimizer therefore works on vectors of
+per-degree-class counts rather than raw vertex subsets, with one exact integer
+weight-and-threshold test per kind (``_part_arithmetic``). Typical answers are
+2 or 3, so the solve is bounded by the answer:
+
+1. the whole vertex set is checked as a single part;
+2. the ascending-degree prefix greedy runs in count space; 2 greedy parts are
+   optimal once a single part has failed;
+3. every sub-vector holding a lowest-class vertex is tried as one of two
+   parts, its complement as the other (one sweep over the count vectors);
+4. if no 2-part split exists and the greedy used 3 parts, its parts are the
+   witness that 3 is exact;
+5. otherwise the full dynamic program decides.
+
+The dynamic program has states "remaining count per distinct degree", and
+every sub-multiset that contains a vertex of the lowest remaining class is
+tried as the next part. That is the full subset dynamic program collapsed by
+the equal-degree symmetry. Neither it nor the 2-part sweep skips anything,
+which matters because power-mean feasibility is not closed under subsets (a
+part mixing one high-degree vertex with several low-degree ones can pass while
+its high-degree sub-pair fails). No degree bound is used as a shortcut: the
+bound report checks those bounds against these values.
 
 Results are memoized by (n, sorted degree sequence, kind, exponent), so
 corpus sweeps that repeat a degree sequence pay for it once.
@@ -24,7 +38,7 @@ from typing import Iterable
 
 from . import smallness
 from .errors import SizeLimitError, StabilizationError
-from .extremal import _degree_classes, _degree_pools, degree_order
+from .extremal import _degree_classes, _degree_pools
 from .graphs import Graph, VertexSet
 
 DEFAULT_EXACT_LIMIT = 18
@@ -132,6 +146,113 @@ def make_partition(
 # exact minimizer over degree-class count vectors
 
 
+def _part_arithmetic(n: int, vals: list[int], kind: str, k: int):
+    """Exact integer form of the part predicate over degree classes ``vals``.
+
+    Returns ``(weight, thr)``: a part holding a_i vertices of class i, of size
+    s = sum(a_i), is feasible iff sum(a_i * weight[i]) <= thr[s]. For 'small'
+    ``thr`` is None and the test is pointwise instead: vals[top] + s <= n,
+    where top is the part's highest nonempty class.
+    """
+    if kind == "delta":
+        return [v**k for v in vals], [s * (n - s) ** k for s in range(n + 1)]
+    if kind == "alpha":
+        common = math.lcm(*(n - v for v in vals))
+        return [common // (n - v) for v in vals], [common] * (n + 1)
+    return [0] * len(vals), None
+
+
+def _fits(n: int, vals: list[int], thr, size: int, wsum: int, top: int) -> bool:
+    """The ``_part_arithmetic`` test for one nonempty part."""
+    if thr is None:
+        return vals[top] + size <= n
+    return wsum <= thr[size]
+
+
+def _greedy_vectors(n: int, vals: list[int], counts: list[int], weight, thr):
+    """Ascending-degree prefix greedy in count space: repeatedly strip the
+    longest feasible prefix of the remaining vertices, classes taken in
+    ascending degree order. A single vertex always fits, so every part is
+    nonempty."""
+    m = len(counts)
+    rem = list(counts)
+    parts: list[tuple[int, ...]] = []
+    low = 0
+    while low < m:
+        part = [0] * m
+        size = wsum = 0
+        for i in range(low, m):
+            while rem[i] and _fits(n, vals, thr, size + 1, wsum + weight[i], i):
+                size += 1
+                wsum += weight[i]
+                part[i] += 1
+                rem[i] -= 1
+            if rem[i]:
+                break
+        parts.append(tuple(part))
+        while low < m and not rem[low]:
+            low += 1
+    return parts
+
+
+def _two_part_split(n: int, vals: list[int], counts: list[int], weight, thr):
+    """A count vector A holding at least one lowest-class vertex such that A
+    and its complement ``counts - A`` are both nonempty and feasible, or None.
+
+    One part of any 2-part partition holds a lowest-class vertex, so None
+    proves that no 2-part partition exists. Every sub-vector is visited, not
+    only degree-order prefixes: power-mean feasibility is not closed under
+    subsets, so a winning split may mix low and high classes.
+    """
+    m = len(counts)
+    total = sum(c * w for c, w in zip(counts, weight))
+    c0, w0 = counts[0], weight[0]
+    # odometer over the classes above the lowest; classes 1..m-1 of A hold
+    # ``digits[1:]`` vertices, ``size`` and ``wsum`` in all
+    digits = [0] * m
+    size = wsum = top = ctop = 0
+    while True:
+        if thr is None:  # 'small' reads the highest nonempty class of each part
+            top = next((i for i in range(m - 1, 0, -1) if digits[i]), 0)
+            ctop = next((i for i in range(m - 1, 0, -1) if digits[i] < counts[i]), 0)
+        for a in range(1, c0 + 1):
+            s, w = size + a, wsum + a * w0
+            if s == n:
+                break
+            if _fits(n, vals, thr, s, w, top) and _fits(n, vals, thr, n - s, total - w, ctop):
+                return (a, *digits[1:])
+        i = 1
+        while i < m and digits[i] == counts[i]:
+            size -= counts[i]
+            wsum -= counts[i] * weight[i]
+            digits[i] = 0
+            i += 1
+        if i == m:
+            return None
+        digits[i] += 1
+        size += 1
+        wsum += weight[i]
+
+
+def _min_parts_bounded(n: int, degs: tuple[int, ...], kind: str, k: int):
+    """Exact minimum in the order of the module docstring: settled without
+    the DP when the answer is at most 2, or 3 with the greedy's parts as
+    witness; ``_min_parts_impl`` otherwise."""
+    vals, counts = _degree_classes(degs)
+    weight, thr = _part_arithmetic(n, vals, kind, k)
+    if _fits(n, vals, thr, n, sum(c * w for c, w in zip(counts, weight)), len(vals) - 1):
+        return 1, (tuple(counts),)
+    greedy = _greedy_vectors(n, vals, counts, weight, thr)
+    if len(greedy) == 2:
+        return 2, tuple(greedy)
+    split = _two_part_split(n, vals, counts, weight, thr)
+    if split is not None:
+        return 2, (split, tuple(c - a for c, a in zip(counts, split)))
+    if len(greedy) == 3:
+        return 3, tuple(greedy)
+    return _min_parts_impl(n, degs, kind, k)
+
+
 def _min_parts_impl(n: int, degs: tuple[int, ...], kind: str, k: int):
     vals, counts = _degree_classes(degs)
     m = len(vals)
@@ -140,17 +261,7 @@ def _min_parts_impl(n: int, degs: tuple[int, ...], kind: str, k: int):
         stride[i] = stride[i - 1] * (counts[i - 1] + 1)
     total = stride[m - 1] * (counts[m - 1] + 1)
 
-    if kind == "delta":
-        weight = [v**k for v in vals]
-        thr = [s * (n - s) ** k for s in range(n + 1)]
-    elif kind == "alpha":
-        common = math.lcm(*(n - v for v in vals))
-        weight = [common // (n - v) for v in vals]
-        thr = [common] * (n + 1)
-    else:
-        weight = [0] * m
-        thr = None
-
+    weight, thr = _part_arithmetic(n, vals, kind, k)
     inf = n + 1
     best = [inf] * total
     best[0] = 0
@@ -231,7 +342,7 @@ def _min_parts_impl(n: int, degs: tuple[int, ...], kind: str, k: int):
 @lru_cache(maxsize=1 << 16)
 def _min_parts_by_degrees(n: int, degs: tuple[int, ...], kind: str, k: int):
     """Cached exact minimum; parts come back as per-degree-class count vectors."""
-    return _min_parts_impl(n, degs, kind, k)
+    return _min_parts_bounded(n, degs, kind, k)
 
 
 def _materialize(g: Graph, part_vectors, kind: str, k: int | None) -> Partition:
@@ -281,41 +392,15 @@ def greedy_partition(g: Graph, kind: str, k: int | None = None) -> PartitionResu
     vertex of no smaller degree while the threshold shrinks cannot restore
     feasibility), so the scan may stop at the first failure.
     """
-    _check_kind(kind, k)
+    kk = _check_kind(kind, k)
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    n = g.n
-    remaining = list(degree_order(g))
-    parts: list[list[int]] = []
-    while remaining:
-        degs = [g.degrees[v] for v in remaining]
-        take = 1
-        if kind == "small":
-            while take < len(remaining) and degs[take] <= n - (take + 1):
-                take += 1
-        elif kind == "delta":
-            running = degs[0] ** k
-            while take < len(remaining):
-                nxt = running + degs[take] ** k
-                if nxt > (take + 1) * (n - take - 1) ** k:
-                    break
-                running = nxt
-                take += 1
-        else:
-            common = math.lcm(*(n - d for d in set(degs)))
-            running = common // (n - degs[0])
-            while take < len(remaining):
-                nxt = running + common // (n - degs[take])
-                if nxt > common:
-                    break
-                running = nxt
-                take += 1
-        parts.append(remaining[:take])
-        remaining = remaining[take:]
-    witness = make_partition(g, parts, kind, k)
+    vals, counts = _degree_classes(sorted(g.degrees))
+    weight, thr = _part_arithmetic(g.n, vals, kind, kk)
+    witness = _materialize(g, _greedy_vectors(g.n, vals, counts, weight, thr), kind, k)
     if not witness.certified:
         raise AssertionError("internal: greedy produced an uncertified part")
-    return PartitionResult(len(parts), witness, "greedy_upper_only")
+    return PartitionResult(len(witness), witness, "greedy_upper_only")
 
 
 def _stabilization_cap(g: Graph) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -42,6 +43,23 @@ def test_analyze_size_limit_marks_skipped():
     payload = json.loads(result.stdout.splitlines()[0])
     assert "chromatic" in payload["skipped"]
     assert payload["findings"] == []
+
+
+def test_analyze_csv_bytes_pinned():
+    # two reports with "p/q" caro-wei values, None values and inapplicable
+    # rows with an empty satisfied field; the digest is of the output of the
+    # CSV writer the CLI used to carry alongside bounds.report_csv_rows
+    result = run_cli("analyze", "--gnp", "n=7,p=0.4,count=2,seed=1", "--emit", "csv", "--kmax", "3")
+    assert result.returncode == 0
+    lines = result.stdout.splitlines()
+    assert len(lines) == 77
+    assert "gnp-n7-p0.4-s1-0000,7,caro-wei-lb,clique,47/30,true,true," in result.stdout
+    assert ",size-window,size:delta[*],None,true,true," in result.stdout
+    assert sum(",false,," in line for line in lines) == 6
+    assert (
+        hashlib.sha256(result.stdout.encode()).hexdigest()
+        == "0300d9a0e52081c700a7a43ff647bf69762825dc2ad3cbaad6849ee748a879c8"
+    )
 
 
 def test_analyze_csv_shape():
@@ -169,6 +187,14 @@ def test_bad_exact_limit_env_exit_1():
     assert result.stderr == "deltasets: error: DELTASETS_EXACT_LIMIT must be an integer, got 'abc'\n"
 
 
+def test_negative_exact_limit_env_exit_1():
+    env = dict(os.environ, DELTASETS_EXACT_LIMIT="-2")
+    result = run_cli("analyze", "--gnp", "n=5,p=0.5", env=env)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "deltasets: error: DELTASETS_EXACT_LIMIT must be at least 0, got -2\n"
+
+
 @pytest.mark.parametrize(
     "args, flag",
     [
@@ -176,11 +202,17 @@ def test_bad_exact_limit_env_exit_1():
         (("analyze", "--gnp", "n=5,p=0.5", "--kmax", "0"), "--kmax"),
         (("verify", "--gnp", "n=5,p=0.5", "--jobs", "0"), "--jobs"),
         (("verify", "--gnp", "n=5,p=0.5", "--jobs", "-4"), "--jobs"),
+        (("analyze", "--gnp", "n=5,p=0.5", "--exact-limit", "-3"), "--exact-limit"),
+        (("analyze", "--gnp", "n=5,p=0.5", "--clique-limit", "-1"), "--clique-limit"),
+        (("verify", "--gnp", "n=5,p=0.5", "--chromatic-limit", "-1"), "--chromatic-limit"),
+        (("scan", "--gnp", "n=5,p=0.5", "--stabilization-limit", "-2"), "--stabilization-limit"),
     ],
 )
 def test_out_of_range_flag_exit_1(args, flag):
     result = run_cli(*args)
     assert result.returncode == 1
     assert result.stdout == ""
-    assert f"deltasets: error: argument {flag}: must be at least" in result.stderr
+    errors = [line for line in result.stderr.splitlines() if line.startswith("deltasets: error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"deltasets: error: argument {flag}: must be at least")
     assert "Traceback" not in result.stderr

@@ -7,6 +7,7 @@ from oracles import (
     brute_clique_number,
     brute_independence_number,
     brute_min_parts,
+    part_feasible,
 )
 
 from deltasets import (
@@ -22,6 +23,8 @@ from deltasets import (
     min_partition,
     partition_curve,
 )
+from deltasets import partition as partition_mod
+from deltasets.partition import _min_parts_bounded, _min_parts_impl
 from deltasets.partition import brute_min_parts as shipped_brute
 
 
@@ -218,3 +221,93 @@ def test_oracle_size_guards():
         clique_number(g)
     with pytest.raises(SizeLimitError):
         chromatic_number(gen_gnp(17, 0.5, seed=0))
+
+
+# ---------------------------------------------------------------------------
+# the answer-bounded solve behind the memo against the full DP and the oracle
+
+SOLVE_KINDS = [("small", 0), ("alpha", 0)] + [("delta", k) for k in range(1, 9)]
+# 9 degree classes of size 2: 3**9 = 19,683 DP states
+SYNTHETIC_DEGS = tuple(d for d in range(0, 18, 2) for _ in range(2))
+
+
+def _solver_profiles():
+    """(n, sorted degrees) for every graph with n <= 6 plus seeded G(n, p)
+    samples at n = 7 and n = 10..14."""
+    seen = set()
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            seen.add((n, tuple(sorted(g.degrees))))
+    for i in range(30):
+        g = gen_gnp(7, (0.2, 0.5, 0.8)[i % 3], seed=1700 + i)
+        seen.add((7, tuple(sorted(g.degrees))))
+    for n in range(10, 15):
+        for i in range(3):
+            g = gen_gnp(n, (0.3, 0.5, 0.7)[i], seed=100 * n + i)
+            seen.add((n, tuple(sorted(g.degrees))))
+    return sorted(seen)
+
+
+def _assert_count_witness(n, degs, kind, k, value, parts):
+    """Each count-vector part is nonempty and feasible (checked on its degree
+    list by the oracle), there are ``value`` parts, and they sum to the
+    whole degree multiset."""
+    vals = sorted(set(degs))
+    counts = [degs.count(v) for v in vals]
+    assert len(parts) == value
+    assert [sum(col) for col in zip(*parts)] == counts
+    for part in parts:
+        members = [v for v, c in zip(vals, part) for _ in range(c)]
+        assert members and part_feasible(members, n, kind, k), (degs, kind, k, part)
+
+
+def test_bounded_solve_matches_dp():
+    for n, degs in _solver_profiles():
+        for kind, k in SOLVE_KINDS:
+            value, parts = _min_parts_bounded(n, degs, kind, k)
+            assert value == _min_parts_impl(n, degs, kind, k)[0], (degs, kind, k)
+            _assert_count_witness(n, degs, kind, k, value, parts)
+
+
+def test_bounded_solve_matches_dp_synthetic(monkeypatch):
+    # the delta k = 1 answer is 2 only through a split that is no degree-order
+    # prefix, while the greedy needs 3 parts
+    assert _min_parts_bounded(18, SYNTHETIC_DEGS, "delta", 1)[0] == 2
+    for kind, k in SOLVE_KINDS:
+        expected = _min_parts_impl(18, SYNTHETIC_DEGS, kind, k)
+        # a DP fallback gets the result just computed (each solve takes seconds)
+        monkeypatch.setattr(partition_mod, "_min_parts_impl", lambda *args: expected)
+        value, parts = _min_parts_bounded(18, SYNTHETIC_DEGS, kind, k)
+        monkeypatch.undo()
+        assert value == expected[0], (kind, k)
+        _assert_count_witness(18, SYNTHETIC_DEGS, kind, k, value, parts)
+
+
+def test_bounded_solve_matches_bell_oracle():
+    for n, degs in _solver_profiles():
+        if n > 7:
+            continue
+        for kind, k in SOLVE_KINDS:
+            expected = brute_min_parts(degs, kind, k or None)
+            assert _min_parts_bounded(n, degs, kind, k)[0] == expected, (degs, kind, k)
+
+
+def test_greedy_matches_vertex_prefix_reference():
+    # the greedy strips the longest feasible prefix of degree_order, one
+    # vertex at a time; this reference does so on plain vertex lists
+    graphs = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    graphs += [gen_gnp(n, p, seed=n) for n in (9, 14, 25) for p in (0.1, 0.5, 0.9)]
+    for g in graphs:
+        for kind, k in SOLVE_KINDS:
+            remaining = sorted(range(g.n), key=lambda v: (g.degrees[v], v))
+            expected = []
+            while remaining:
+                take = 1
+                while take < len(remaining) and part_feasible(
+                    [g.degrees[v] for v in remaining[: take + 1]], g.n, kind, k
+                ):
+                    take += 1
+                expected.append(sorted(remaining[:take]))
+                remaining = remaining[take:]
+            got = greedy_partition(g, kind, k or None)
+            assert sorted(sorted(p) for p in got.witness.parts) == sorted(expected)
