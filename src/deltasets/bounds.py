@@ -10,6 +10,7 @@ interesting ones, and float ties cannot be trusted there.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -26,6 +27,7 @@ from .partition import (
     CHROMATIC_LIMIT,
     CLIQUE_LIMIT,
     DEFAULT_EXACT_LIMIT,
+    REPORT_STABILIZATION_LIMIT,
     Partition,
     brute_min_parts,
     chromatic_number,
@@ -477,7 +479,7 @@ def build_report(
     exact_limit: int | None = None,
     clique_limit: int = CLIQUE_LIMIT,
     chromatic_limit: int = CHROMATIC_LIMIT,
-    stabilization_limit: int = 10,
+    stabilization_limit: int = REPORT_STABILIZATION_LIMIT,
 ) -> BoundReport:
     """Full invariant-and-bound table for one graph.
 
@@ -634,6 +636,40 @@ def build_report(
 
 
 # ---------------------------------------------------------------------------
+# ordered per-graph map
+
+
+# graphs handed to the process pool per round: bounds what the parent holds
+# (one batch of graphs and results) while keeping the workers busy
+_BATCH = 4096
+
+
+def _per_graph_worker(fn, params: dict, item: tuple[str, Graph]):
+    gid, g = item
+    return fn(g, gid, **params)
+
+
+def per_graph(fn, graphs: Iterable[tuple[str, Graph]], jobs: int = 1, **params) -> Iterator:
+    """Yield ``fn(g, gid, **params)`` for each ``(gid, g)``, in input order.
+
+    Runs in process when ``jobs <= 1`` or the corpus is a single graph, else
+    in one pool of ``jobs`` processes, ``_BATCH`` graphs at a time in about 8
+    chunks per worker. ``fn`` must be module-level: workers get it by name.
+    """
+    it = iter(graphs)
+    batch = list(itertools.islice(it, _BATCH)) if jobs > 1 else []
+    if len(batch) <= 1:
+        for gid, g in itertools.chain(batch, it):
+            yield fn(g, gid, **params)
+        return
+    work = functools.partial(_per_graph_worker, fn, params)
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        while batch:
+            yield from pool.map(work, batch, chunksize=-(-len(batch) // (8 * jobs)))
+            batch = list(itertools.islice(it, _BATCH))
+
+
+# ---------------------------------------------------------------------------
 # staircase-gap scanner
 
 
@@ -679,7 +715,7 @@ def _gap_reverify(g: Graph, alpha_parts: int, curve_values: tuple[int, ...]) -> 
     return brute_alpha not in brute_curve
 
 
-def _scan_one(gid: str, g: Graph, exact_limit: int) -> ScanRecord:
+def _scan_one(g: Graph, gid: str, exact_limit: int) -> ScanRecord:
     if g.n < 1 or g.n > exact_limit:
         return ScanRecord(gid, g.n, None, None, None, None, None, None,
                           skipped=f"n={g.n} outside 1..{exact_limit}")
@@ -697,11 +733,6 @@ def _scan_one(gid: str, g: Graph, exact_limit: int) -> ScanRecord:
                       curve.stable_k, matched, verified)
 
 
-def _scan_worker(payload) -> ScanRecord:
-    gid, adj, exact_limit = payload
-    return _scan_one(gid, Graph(adj), exact_limit)
-
-
 def scan_records(
     graphs: Iterable[tuple[str, Graph]],
     exact_limit: int | None = None,
@@ -711,23 +742,11 @@ def scan_records(
     power-mean staircase to its stabilization, and the least exponent whose
     value matches (None marks a gap candidate, re-verified before emission).
 
-    With jobs > 1 the per-graph work fans out to a process pool in batches;
-    records are always yielded in input order.
+    Records come in input order for any ``jobs`` (see ``per_graph``).
     """
     if exact_limit is None:
         exact_limit = DEFAULT_EXACT_LIMIT
-    if jobs <= 1:
-        for gid, g in graphs:
-            yield _scan_one(gid, g, exact_limit)
-        return
-    it = iter(graphs)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        while True:
-            batch = list(itertools.islice(it, 4096))
-            if not batch:
-                return
-            payloads = [(gid, g.adj, exact_limit) for gid, g in batch]
-            yield from pool.map(_scan_worker, payloads, chunksize=64)
+    yield from per_graph(_scan_one, graphs, jobs, exact_limit=exact_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -768,26 +787,12 @@ def _class_representatives(pools: list[list[int]]) -> list[int]:
 
 
 def _verify_graph(
-    g: Graph,
-    gid: str,
-    k_max: int,
-    exact_limit: int,
-    clique_limit: int,
-    chromatic_limit: int,
-    stabilization_limit: int,
-    subset_limit: int = 10,
+    g: Graph, gid: str, k_max: int, exact_limit: int | None, subset_limit: int = 10, **limits
 ) -> list[tuple[str, bool, str]]:
-    """All per-graph checks as (suite, ok, detail) triples."""
+    """All per-graph checks as (suite, ok, detail) triples; ``limits`` are the
+    other size guards of ``build_report``."""
     checks: list[tuple[str, bool, str]] = []
-    report = build_report(
-        g,
-        gid,
-        k_max=k_max,
-        exact_limit=exact_limit,
-        clique_limit=clique_limit,
-        chromatic_limit=chromatic_limit,
-        stabilization_limit=stabilization_limit,
-    )
+    report = build_report(g, gid, k_max=k_max, exact_limit=exact_limit, **limits)
     for row in report.bounds:
         if row.applicable and row.satisfied is not None:
             checks.append(("bound-table", row.satisfied, f"{row.name} vs {row.target}"))
@@ -855,7 +860,7 @@ def _verify_graph(
     return checks
 
 
-def _checked_graph(gid: str, g: Graph, params: dict) -> tuple[list[tuple[str, bool, str]], list[Finding]]:
+def _checked_graph(g: Graph, gid: str, **params) -> tuple[list[tuple[str, bool, str]], list[Finding]]:
     """Per-graph checks with failures re-verified before they count.
 
     A failed check is re-run from scratch (solver caches cleared, and
@@ -888,27 +893,20 @@ def _checked_graph(gid: str, g: Graph, params: dict) -> tuple[list[tuple[str, bo
     return out, findings
 
 
-def _verify_worker(payload):
-    (gid, adj), params = payload
-    return _checked_graph(gid, Graph(adj), params)
-
-
 def verify_corpus(
     graphs: Iterable[tuple[str, Graph]],
     k_max: int = 8,
     exact_limit: int | None = None,
     clique_limit: int = CLIQUE_LIMIT,
     chromatic_limit: int = CHROMATIC_LIMIT,
-    stabilization_limit: int = 10,
+    stabilization_limit: int = REPORT_STABILIZATION_LIMIT,
     jobs: int = 1,
 ) -> VerifySummary:
-    """Run every inequality suite over a corpus.
+    """Run every inequality suite over a corpus, aggregating as it streams.
 
-    With jobs > 1 the per-graph work fans out to a process pool; results are
-    merged in input order, so the summary does not depend on jobs.
+    Results are merged in input order (see ``per_graph``), so the summary
+    does not depend on jobs.
     """
-    if exact_limit is None:
-        exact_limit = DEFAULT_EXACT_LIMIT
     params = dict(
         k_max=k_max,
         exact_limit=exact_limit,
@@ -916,18 +914,11 @@ def verify_corpus(
         chromatic_limit=chromatic_limit,
         stabilization_limit=stabilization_limit,
     )
-    items = list(graphs)
-    if jobs > 1 and len(items) > 1:
-        payloads = [((gid, g.adj), params) for gid, g in items]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_verify_worker, payloads, chunksize=8))
-    else:
-        results = [_checked_graph(gid, g, params) for gid, g in items]
     suites: dict[str, list[int]] = {}
     findings: list[Finding] = []
-    total = 0
-    passed = 0
-    for checks, graph_findings in results:
+    count = total = passed = 0
+    for checks, graph_findings in per_graph(_checked_graph, graphs, jobs, **params):
+        count += 1
         for suite, ok, _ in checks:
             total += 1
             stats = suites.setdefault(suite, [0, 0])
@@ -936,4 +927,4 @@ def verify_corpus(
                 stats[1] += 1
                 passed += 1
         findings.extend(graph_findings)
-    return VerifySummary(len(items), total, passed, suites, findings)
+    return VerifySummary(count, total, passed, suites, findings)

@@ -13,13 +13,13 @@ All output is deterministic for a fixed command line and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import bounds as bounds_mod
 from .errors import DeltaSetsError, ParseError, SizeLimitError
@@ -33,7 +33,12 @@ from .graphs import (
     parse_dimacs,
     parse_edge_list,
 )
-from .partition import CHROMATIC_LIMIT, CLIQUE_LIMIT, DEFAULT_EXACT_LIMIT
+from .partition import (
+    CHROMATIC_LIMIT,
+    CLIQUE_LIMIT,
+    DEFAULT_EXACT_LIMIT,
+    REPORT_STABILIZATION_LIMIT,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,22 +60,6 @@ class _Parser(argparse.ArgumentParser):
 def _fail(message: str, code: int = EXIT_USAGE) -> int:
     print(f"deltasets: error: {message}", file=sys.stderr)
     return code
-
-
-@dataclass
-class RunConfig:
-    command: str
-    source: str  # "input" | "gnp" | "regular" | "exhaustive"
-    source_spec: str
-    graphs: list[tuple[str, Graph]]
-    k_max: int
-    exact_limit: int
-    clique_limit: int
-    chromatic_limit: int
-    stabilization_limit: int
-    jobs: int
-    emit: str
-    out: str | None
 
 
 def _parse_kv_spec(spec: str, fields: dict[str, type], where: str) -> dict:
@@ -101,52 +90,44 @@ def _read_graph_file(path: str, fmt: str) -> Graph:
     return parse_edge_list(text)
 
 
-def _build_corpus(args: argparse.Namespace) -> tuple[str, str, list[tuple[str, Graph]]]:
-    """Resolve the single input source into an id-tagged graph list."""
+def _build_corpus(args: argparse.Namespace) -> tuple[str, str, Iterator[tuple[str, Graph]]]:
+    """Resolve the single input source into a lazy stream of id-tagged graphs.
+
+    The source, its spec and the first graph are checked here, so a bad
+    command line fails before any output is opened.
+    """
     sources = [
         s for s in ("input", "gnp", "regular", "exhaustive") if getattr(args, s, None) is not None
     ]
     if len(sources) != 1:
         raise ValueError("exactly one of --input/--gnp/--regular/--exhaustive is required")
     source = sources[0]
-    default_seed = args.seed
-
     if source == "input":
         g = _read_graph_file(args.input, args.format)
-        name = Path(args.input).stem
-        return source, args.input, [(name, g)]
-
+        return source, args.input, iter([(Path(args.input).stem, g)])
     if source == "exhaustive":
         n = args.exhaustive
-        graphs = [(f"all-n{n}-{i}", g) for i, g in enumerate(enumerate_graphs(n))]
-        return source, str(n), graphs
-
-    if source == "gnp":
-        spec = _parse_kv_spec(
-            args.gnp, {"n": int, "p": float, "count": int, "seed": int}, "--gnp"
+        spec_text = str(n)
+        graphs = ((f"all-n{n}-{i}", g) for i, g in enumerate(enumerate_graphs(n)))
+    else:
+        spec_text = getattr(args, source)
+        key, kind, gen, prefix = (
+            ("p", float, gen_gnp, "gnp") if source == "gnp" else ("r", int, gen_regular, "reg")
         )
-        if "n" not in spec or "p" not in spec:
-            raise ValueError("--gnp needs at least n=<int>,p=<float>")
-        count = spec.get("count", 1)
-        seed = spec.get("seed", default_seed)
-        n, p = spec["n"], spec["p"]
-        graphs = [
-            (f"gnp-n{n}-p{p}-s{seed}-{i:04d}", gen_gnp(n, p, seed + i)) for i in range(count)
-        ]
-        return source, args.gnp, graphs
-
-    spec = _parse_kv_spec(
-        args.regular, {"n": int, "r": int, "count": int, "seed": int}, "--regular"
-    )
-    if "n" not in spec or "r" not in spec:
-        raise ValueError("--regular needs at least n=<int>,r=<int>")
-    count = spec.get("count", 1)
-    seed = spec.get("seed", default_seed)
-    n, r = spec["n"], spec["r"]
-    graphs = [
-        (f"reg-n{n}-r{r}-s{seed}-{i:04d}", gen_regular(n, r, seed + i)) for i in range(count)
-    ]
-    return source, args.regular, graphs
+        spec = _parse_kv_spec(
+            spec_text, {"n": int, key: kind, "count": int, "seed": int}, f"--{source}"
+        )
+        if "n" not in spec or key not in spec:
+            raise ValueError(f"--{source} needs at least n=<int>,{key}=<{kind.__name__}>")
+        n, x, seed = spec["n"], spec[key], spec.get("seed", args.seed)
+        graphs = (
+            (f"{prefix}-n{n}-{key}{x}-s{seed}-{i:04d}", gen(n, x, seed + i))
+            for i in range(spec.get("count", 1))
+        )
+    # the generators check their spec when they build a graph: building the
+    # first one here surfaces a bad spec before any output is opened
+    first = list(itertools.islice(graphs, 1))
+    return source, spec_text, itertools.chain(first, graphs)
 
 
 def _add_corpus_options(p: argparse.ArgumentParser) -> None:
@@ -206,18 +187,36 @@ def _add_limit_options(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--clique-limit", type=_int_at_least(0), default=CLIQUE_LIMIT)
     p.add_argument("--chromatic-limit", type=_int_at_least(0), default=CHROMATIC_LIMIT)
-    p.add_argument("--stabilization-limit", type=_int_at_least(0), default=10)
+    p.add_argument(
+        "--stabilization-limit", type=_int_at_least(0), default=REPORT_STABILIZATION_LIMIT
+    )
     p.add_argument(
         "--jobs", type=_int_at_least(1), default=1, help="worker processes for per-graph work"
     )
     p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 
 
-def _emit_text(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _limits(args: argparse.Namespace) -> dict:
+    """The per-graph size guards and exponent range, as keyword arguments."""
+    return dict(
+        k_max=args.kmax,
+        exact_limit=args.exact_limit,
+        clique_limit=args.clique_limit,
+        chromatic_limit=args.chromatic_limit,
+        stabilization_limit=args.stabilization_limit,
+    )
+
+
+# pieces joined into one write: fewer write calls, and output still starts early
+_WRITE_BATCH = 64
+
+
+def _write(out: str | None, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` to PATH ``out`` or stdout in order as they are produced."""
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+        it = iter(pieces)
+        while batch := list(itertools.islice(it, _WRITE_BATCH)):
+            fh.write("".join(batch))
 
 
 def _json_line(obj) -> str:
@@ -226,26 +225,6 @@ def _json_line(obj) -> str:
 
 # ---------------------------------------------------------------------------
 # analyze
-
-
-def _report_worker(payload) -> bounds_mod.BoundReport:
-    (gid, adj), kwargs = payload
-    return bounds_mod.build_report(Graph(adj), gid, **kwargs)
-
-
-def _analyze_reports(cfg: RunConfig) -> list[bounds_mod.BoundReport]:
-    kwargs = dict(
-        k_max=cfg.k_max,
-        exact_limit=cfg.exact_limit,
-        clique_limit=cfg.clique_limit,
-        chromatic_limit=cfg.chromatic_limit,
-        stabilization_limit=cfg.stabilization_limit,
-    )
-    if cfg.jobs > 1 and len(cfg.graphs) > 1:
-        payloads = [((gid, g.adj), kwargs) for gid, g in cfg.graphs]
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            return list(pool.map(_report_worker, payloads, chunksize=16))
-    return [_report_worker(((gid, g.adj), kwargs)) for gid, g in cfg.graphs]
 
 
 def _human_report(d: dict) -> str:
@@ -275,24 +254,32 @@ def _human_report(d: dict) -> str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = _make_config("analyze", args)
-    reports = _analyze_reports(cfg)
-    if cfg.emit == "json":
-        text = "".join(_json_line(bounds_mod.report_to_dict(r)) + "\n" for r in reports)
-    elif cfg.emit == "csv":
-        rows = [bounds_mod.CSV_HEADER]
-        for r in reports:
-            rows.extend(bounds_mod.report_csv_rows(r))
-        text = "\n".join(rows) + "\n"
-    else:
-        text = "".join(_human_report(bounds_mod.report_to_dict(r)) for r in reports)
-    _emit_text(text, cfg.out)
-    if any(r.findings() for r in reports):
+    _, _, graphs = _build_corpus(args)
+    limits = _limits(args)
+    flagged = False
+
+    def pieces() -> Iterator[str]:
+        nonlocal flagged
+        if args.emit == "csv":
+            yield bounds_mod.CSV_HEADER + "\n"
+        for r in bounds_mod.per_graph(bounds_mod.build_report, graphs, args.jobs, **limits):
+            flagged = flagged or bool(r.findings())
+            if args.emit == "json":
+                yield _json_line(bounds_mod.report_to_dict(r)) + "\n"
+            elif args.emit == "csv":
+                yield "".join(row + "\n" for row in bounds_mod.report_csv_rows(r))
+            else:
+                yield _human_report(bounds_mod.report_to_dict(r))
+
+    _write(args.out, pieces())
+    if flagged:
         # a finding only sets the exit code after a from-scratch recomputation
         from .partition import _min_parts_by_degrees
 
         _min_parts_by_degrees.cache_clear()
-        if any(r.findings() for r in _analyze_reports(cfg)):
+        _, _, graphs = _build_corpus(args)
+        again = bounds_mod.per_graph(bounds_mod.build_report, graphs, args.jobs, **limits)
+        if any(r.findings() for r in again):
             return EXIT_FINDING
     return EXIT_OK
 
@@ -302,19 +289,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _make_config("verify", args)
-    summary = bounds_mod.verify_corpus(
-        cfg.graphs,
-        k_max=cfg.k_max,
-        exact_limit=cfg.exact_limit,
-        clique_limit=cfg.clique_limit,
-        chromatic_limit=cfg.chromatic_limit,
-        stabilization_limit=cfg.stabilization_limit,
-        jobs=cfg.jobs,
-    )
+    source, spec, graphs = _build_corpus(args)
+    summary = bounds_mod.verify_corpus(graphs, jobs=args.jobs, **_limits(args))
     payload = {
         "command": "verify",
-        "source": {"kind": cfg.source, "spec": cfg.source_spec},
+        "source": {"kind": source, "spec": spec},
         "graphs": summary.graphs,
         "checks": summary.checks,
         "passed": summary.passed,
@@ -329,7 +308,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             for f in summary.findings
         ],
     }
-    if cfg.emit == "json":
+    if args.emit == "json":
         text = _json_line(payload) + "\n"
     else:
         lines = [f"graphs checked: {summary.graphs}"]
@@ -344,7 +323,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             lines.append(f"all {summary.checks} checks passed")
         text = "\n".join(lines) + "\n"
-    _emit_text(text, cfg.out)
+    _write(args.out, [text])
     return EXIT_FINDING if summary.findings else EXIT_OK
 
 
@@ -353,23 +332,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    cfg = _make_config("scan", args)
-    graphs = cfg.graphs
-    if args.resume_from:
-        graphs = graphs[args.resume_from :]
-    lines = []
-    gaps = 0
-    skipped = 0
-    for rec in bounds_mod.scan_records(graphs, exact_limit=cfg.exact_limit, jobs=cfg.jobs):
-        lines.append(_json_line(bounds_mod.scan_record_to_dict(rec)))
-        if rec.skipped:
-            skipped += 1
-        elif rec.matched_k is None:
-            gaps += 1
-    text = "\n".join(lines) + ("\n" if lines else "")
-    _emit_text(text, cfg.out)
+    _, _, graphs = _build_corpus(args)
+    graphs = itertools.islice(graphs, args.resume_from, None)
+    total = gaps = skipped = 0
+
+    def lines() -> Iterator[str]:
+        nonlocal total, gaps, skipped
+        for rec in bounds_mod.scan_records(graphs, exact_limit=args.exact_limit, jobs=args.jobs):
+            total += 1
+            if rec.skipped:
+                skipped += 1
+            elif rec.matched_k is None:
+                gaps += 1
+            yield _json_line(bounds_mod.scan_record_to_dict(rec)) + "\n"
+
+    _write(args.out, lines())
     print(
-        f"scan: {len(graphs)} graphs, {gaps} gap candidate(s), {skipped} skipped",
+        f"scan: {total} graphs, {gaps} gap candidate(s), {skipped} skipped",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -380,8 +359,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz_lemma(args: argparse.Namespace) -> int:
-    if args.r_min < 2:
-        return _fail("--r-min must be at least 2")
     if args.r_max < args.r_min:
         return _fail("--r-max must be at least --r-min")
     results = []
@@ -430,7 +407,7 @@ def _cmd_fuzz_lemma(args: argparse.Namespace) -> int:
             )
         lines.append(f"total violations: {violations}")
         text = "\n".join(lines) + "\n"
-    _emit_text(text, args.out)
+    _write(args.out, [text])
     return EXIT_FINDING if violations else EXIT_OK
 
 
@@ -439,44 +416,29 @@ def _cmd_fuzz_lemma(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    source, spec, graphs = _build_corpus(args)
+    _, _, graphs = _build_corpus(args)
     fmt = args.format
     if fmt == "auto":
         fmt = "edgelist"
     render = emit_dimacs if fmt == "dimacs" else emit_edge_list
     ext = "col" if fmt == "dimacs" else "txt"
     if args.out is None:
-        if len(graphs) != 1:
+        head = list(itertools.islice(graphs, 2))
+        if len(head) != 1:
             return _fail("--out DIR is required when generating more than one graph")
-        sys.stdout.write(render(graphs[0][1]))
+        sys.stdout.write(render(head[0][1]))
         return EXIT_OK
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    written = 0
     for gid, g in graphs:
         (outdir / f"{gid}.{ext}").write_text(render(g), encoding="utf-8")
-    print(f"gen: wrote {len(graphs)} file(s) to {outdir}", file=sys.stderr)
+        written += 1
+    print(f"gen: wrote {written} file(s) to {outdir}", file=sys.stderr)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-
-
-def _make_config(command: str, args: argparse.Namespace) -> RunConfig:
-    source, spec, graphs = _build_corpus(args)
-    return RunConfig(
-        command=command,
-        source=source,
-        source_spec=spec,
-        graphs=graphs,
-        k_max=args.kmax,
-        exact_limit=args.exact_limit,
-        clique_limit=args.clique_limit,
-        chromatic_limit=args.chromatic_limit,
-        stabilization_limit=args.stabilization_limit,
-        jobs=args.jobs,
-        emit=getattr(args, "emit", "human"),
-        out=args.out,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -503,12 +465,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(func=_cmd_scan)
 
     p_fuzz = sub.add_parser("fuzz-lemma", help="rational simplex-inequality search")
-    p_fuzz.add_argument("--r-min", type=int, default=2)
+    p_fuzz.add_argument("--r-min", type=_int_at_least(2), default=2)
     p_fuzz.add_argument("--r-max", type=int, default=8)
-    p_fuzz.add_argument("--k", type=int, default=None, help="single exponent (default: all k <= r)")
-    p_fuzz.add_argument("--trials", type=int, default=10000)
+    p_fuzz.add_argument(
+        "--k", type=_int_at_least(1), default=None, help="single exponent (default: all k <= r)"
+    )
+    p_fuzz.add_argument("--trials", type=_int_at_least(0), default=10000)
     p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--denominator", type=int, default=bounds_mod.DEFAULT_DENOMINATOR)
+    p_fuzz.add_argument(
+        "--denominator", type=_int_at_least(1), default=bounds_mod.DEFAULT_DENOMINATOR
+    )
     p_fuzz.add_argument("--emit", choices=("json", "human"), default="human")
     p_fuzz.add_argument("--out", metavar="PATH")
     p_fuzz.set_defaults(func=_cmd_fuzz_lemma)

@@ -112,6 +112,15 @@ def max_delta_small_size(g: Graph, k: int) -> int:
     return best
 
 
+def _exponent_cap(size: int, top: int) -> int:
+    """Exponent by which a non-small set of ``size`` members with maximum degree
+    ``top`` fails the power-mean test: its mean is at least top * size**(-1/k),
+    past this k above top - 1/2, which integer rounding turns into a refutation."""
+    if top == 0 or size <= 1:
+        return 1
+    return 2 + math.ceil(math.log(size) / math.log(top / (top - 0.5)))
+
+
 def _prefix_cap(g: Graph) -> int:
     """Certified exponent beyond which every non-small degree prefix fails the
     power-mean test: past it the prefix rule returns the plain-small maximum."""
@@ -120,12 +129,8 @@ def _prefix_cap(g: Graph) -> int:
     cap = 1
     for s in range(1, n + 1):
         top = degs[s - 1]
-        if top <= n - s or top == 0:
-            continue
-        # the prefix mean is at least top * s**(-1/k); solve for the k forcing
-        # it above top - 1/2, which integer rounding turns into a refutation
-        need = 1 + math.ceil(math.log(s) / math.log(top / (top - 0.5)))
-        cap = max(cap, need + 1)
+        if top > n - s:
+            cap = max(cap, _exponent_cap(s, top))
     return cap
 
 
@@ -188,7 +193,7 @@ def stabilization_index(g: Graph, limit: int = STABILIZATION_LIMIT) -> int:
             continue  # small sets are never violators
         if t == 0:
             continue  # positive power sum can never fit a zero threshold
-        cap = 2 + math.ceil(math.log(size) / math.log(top / (top - 0.5))) if size > 1 else 1
+        cap = _exponent_cap(size, top)
         powers = [d for d, _ in members]
         k = 1
         last_ok = 0

@@ -38,13 +38,16 @@ from typing import Iterable
 
 from . import smallness
 from .errors import SizeLimitError, StabilizationError
-from .extremal import _degree_classes, _degree_pools
+from .extremal import _degree_classes, _degree_pools, _exponent_cap
 from .graphs import Graph, VertexSet
 
 DEFAULT_EXACT_LIMIT = 18
 CLIQUE_LIMIT = 20
 CHROMATIC_LIMIT = 16
 BRUTE_LIMIT = 10
+# n-guard on the stabilization index in bound reports and verify; direct
+# library calls use extremal.STABILIZATION_LIMIT instead
+REPORT_STABILIZATION_LIMIT = 10
 
 KINDS = ("small", "delta", "alpha")
 
@@ -403,15 +406,6 @@ def greedy_partition(g: Graph, kind: str, k: int | None = None) -> PartitionResu
     return PartitionResult(len(witness), witness, "greedy_upper_only")
 
 
-def _stabilization_cap(g: Graph) -> int:
-    """Exponent past which power-mean feasibility coincides with smallness for
-    every subset (coarse but certified: uses n and the maximum degree)."""
-    top = g.max_degree
-    if top == 0 or g.n <= 1:
-        return 1
-    return 2 + math.ceil(math.log(g.n) / math.log(top / (top - 0.5)))
-
-
 def partition_curve(
     g: Graph,
     k_max: int,
@@ -437,7 +431,7 @@ def partition_curve(
         raise SizeLimitError(f"exact partition search capped at n={limit} (got {g.n})")
     degs = tuple(sorted(g.degrees))
     small_value = _min_parts_by_degrees(g.n, degs, "small", kk)[0]
-    cap = _stabilization_cap(g) + 8
+    cap = _exponent_cap(g.n, g.max_degree) + 8
     values: list[int] = []
     stable: int | None = None
     k = 1

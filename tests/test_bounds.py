@@ -383,3 +383,43 @@ def test_verify_predicate_sweep_catches_one_faulty_multiset(monkeypatch):
     monkeypatch.setattr(smallness, "is_delta_small", faulty)
     checks = _verify_graph(g, "g", **params)
     assert ("predicates", False, "small sets pass every power-mean exponent") in checks
+
+
+def _corpus(count=12):
+    return [(f"g{i}", gen_gnp(6, (0.3, 0.5, 0.7)[i % 3], seed=1500 + i)) for i in range(count)]
+
+
+def test_pool_batches_match_in_process(monkeypatch):
+    from deltasets import bounds
+
+    monkeypatch.setattr(bounds, "_BATCH", 3)  # 12 graphs: four pool batches
+    graphs = _corpus()
+    assert list(scan_records(graphs, jobs=2)) == list(scan_records(graphs, jobs=1))
+    params = dict(k_max=4, stabilization_limit=6)
+    assert verify_corpus(graphs, jobs=2, **params) == verify_corpus(graphs, jobs=1, **params)
+
+
+def test_scan_records_stream_one_graph_at_a_time():
+    consumed = []
+
+    def corpus():
+        for gid, g in _corpus():
+            consumed.append(gid)
+            yield gid, g
+
+    records = scan_records(corpus())
+    assert next(records).graph_id == "g0"
+    assert consumed == ["g0"]
+    assert [r.graph_id for r in records] == [f"g{i}" for i in range(1, 12)]
+
+
+def test_single_graph_corpus_skips_the_pool(monkeypatch, c5):
+    from deltasets import bounds
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(bounds, "ProcessPoolExecutor", no_pool)
+    assert [r.graph_id for r in scan_records([("c5", c5)], jobs=2)] == ["c5"]
+    assert verify_corpus([("c5", c5)], jobs=2).graphs == 1
+    assert verify_corpus(iter([]), jobs=2).graphs == 0

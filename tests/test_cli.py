@@ -171,6 +171,36 @@ def test_jobs_flag_verify_and_scan_identical():
     assert run_cli(*sargs, "--jobs", "1").stdout == run_cli(*sargs, "--jobs", "2").stdout
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("analyze", "--gnp", "n=7,p=0.5,count=3,seed=2", "--kmax", "3", "--emit", "json"),
+        ("analyze", "--gnp", "n=7,p=0.5,count=3,seed=2", "--kmax", "3", "--emit", "csv"),
+        ("analyze", "--gnp", "n=7,p=0.5,count=3,seed=2", "--kmax", "3", "--emit", "human"),
+        ("verify", "--gnp", "n=7,p=0.5,count=3,seed=2", "--kmax", "3", "--emit", "json"),
+        ("scan", "--exhaustive", "4"),
+    ],
+)
+def test_out_file_matches_stdout(tmp_path, args):
+    path = tmp_path / "out.txt"
+    to_stdout = subprocess.run(
+        [sys.executable, "-m", "deltasets", *args], capture_output=True, timeout=300
+    )
+    to_file = run_cli(*args, "--out", str(path))
+    assert to_stdout.returncode == to_file.returncode == 0
+    assert to_file.stdout == ""
+    assert path.read_bytes() == to_stdout.stdout != b""
+
+
+def test_bad_spec_with_out_creates_no_file(tmp_path):
+    path = tmp_path / "out.txt"
+    for spec in ("n=5,p=2", "n=5", "n=5,p=x"):
+        result = run_cli("analyze", "--gnp", spec, "--out", str(path))
+        assert result.returncode == 1
+        assert result.stderr.startswith("deltasets: error:")
+        assert not path.exists()
+
+
 def test_exact_limit_env_override(tmp_path):
     env = dict(os.environ)
     env["DELTASETS_EXACT_LIMIT"] = "4"
@@ -206,6 +236,10 @@ def test_negative_exact_limit_env_exit_1():
         (("analyze", "--gnp", "n=5,p=0.5", "--clique-limit", "-1"), "--clique-limit"),
         (("verify", "--gnp", "n=5,p=0.5", "--chromatic-limit", "-1"), "--chromatic-limit"),
         (("scan", "--gnp", "n=5,p=0.5", "--stabilization-limit", "-2"), "--stabilization-limit"),
+        (("fuzz-lemma", "--denominator", "0", "--trials", "1"), "--denominator"),
+        (("fuzz-lemma", "--trials", "-3"), "--trials"),
+        (("fuzz-lemma", "--k", "0", "--trials", "1"), "--k"),
+        (("fuzz-lemma", "--r-min", "1", "--trials", "1"), "--r-min"),
     ],
 )
 def test_out_of_range_flag_exit_1(args, flag):
@@ -216,3 +250,25 @@ def test_out_of_range_flag_exit_1(args, flag):
     assert len(errors) == 1
     assert errors[0].startswith(f"deltasets: error: argument {flag}: must be at least")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("persistent, code", [(True, 3), (False, 0)])
+def test_analyze_finding_needs_recomputation(monkeypatch, capsys, persistent, code):
+    from deltasets import bounds, cli
+
+    real = bounds.build_report
+    calls = []
+
+    def faulty(g, graph_id, **limits):
+        report = real(g, graph_id, **limits)
+        calls.append(graph_id)
+        if graph_id.endswith("-0001") and (persistent or calls.count(graph_id) == 1):
+            report.bounds.append(bounds.BoundRow("planted", "x", 1, True, False, "test"))
+        return report
+
+    monkeypatch.setattr(bounds, "build_report", faulty)
+    argv = ["analyze", "--gnp", "n=5,p=0.5,count=3,seed=1", "--kmax", "2", "--emit", "json"]
+    assert cli.main(argv) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["findings"] for line in lines] == [[], ["planted"], []]
+    assert calls.count("gnp-n5-p0.5-s1-0001") == 2
