@@ -29,6 +29,7 @@ from .partition import (
     DEFAULT_EXACT_LIMIT,
     REPORT_STABILIZATION_LIMIT,
     Partition,
+    _min_parts_by_degrees,
     brute_min_parts,
     chromatic_number,
     clique_number,
@@ -774,6 +775,11 @@ class VerifySummary:
         return not self.findings
 
 
+# degree-class count vectors the predicate sweep of ``_verify_graph`` visits
+# exhaustively; graphs with more vectors get seeded random masks instead
+_SWEEP_BUDGET = 1 << 10
+
+
 def _class_representatives(pools: list[list[int]]) -> list[int]:
     """One vertex mask per degree-class count vector, built from the
     lowest-id members of each class in ``pools``."""
@@ -787,7 +793,7 @@ def _class_representatives(pools: list[list[int]]) -> list[int]:
 
 
 def _verify_graph(
-    g: Graph, gid: str, k_max: int, exact_limit: int | None, subset_limit: int = 10, **limits
+    g: Graph, gid: str, k_max: int, exact_limit: int | None, **limits
 ) -> list[tuple[str, bool, str]]:
     """All per-graph checks as (suite, ok, detail) triples; ``limits`` are the
     other size guards of ``build_report``."""
@@ -800,12 +806,12 @@ def _verify_graph(
     # predicate implications. Both predicates read only a set's size and
     # degree multiset, so one representative per degree-class count vector
     # stands for every subset: the sweep is exhaustive while there are at most
-    # 1 << subset_limit vectors and falls back to seeded random masks beyond.
+    # _SWEEP_BUDGET vectors.
     n = g.n
     pools = _degree_pools(g)
     reps: list[int] | None = None
     masks: Iterable[int]
-    if math.prod(len(pool) + 1 for pool in pools) <= 1 << subset_limit:
+    if math.prod(len(pool) + 1 for pool in pools) <= _SWEEP_BUDGET:
         masks = reps = _class_representatives(pools)
     else:
         rng = random.Random(0xD5)
@@ -874,8 +880,6 @@ def _checked_graph(g: Graph, gid: str, **params) -> tuple[list[tuple[str, bool, 
         if ok:
             out.append((suite, True, detail))
             continue
-        from .partition import _min_parts_by_degrees
-
         _min_parts_by_degrees.cache_clear()
         recheck = _verify_graph(g, gid, **params)
         still = [d for s, ok2, d in recheck if s == suite and d == detail and not ok2]

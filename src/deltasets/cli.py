@@ -38,6 +38,7 @@ from .partition import (
     CLIQUE_LIMIT,
     DEFAULT_EXACT_LIMIT,
     REPORT_STABILIZATION_LIMIT,
+    _min_parts_by_degrees,
 )
 
 EXIT_OK = 0
@@ -119,10 +120,11 @@ def _build_corpus(args: argparse.Namespace) -> tuple[str, str, Iterator[tuple[st
         )
         if "n" not in spec or key not in spec:
             raise ValueError(f"--{source} needs at least n=<int>,{key}=<{kind.__name__}>")
-        n, x, seed = spec["n"], spec[key], spec.get("seed", args.seed)
+        n, x, seed, count = spec["n"], spec[key], spec.get("seed", args.seed), spec.get("count", 1)
+        if count < 0:
+            raise ValueError(f"--{source}: count must be at least 0, got {count}")
         graphs = (
-            (f"{prefix}-n{n}-{key}{x}-s{seed}-{i:04d}", gen(n, x, seed + i))
-            for i in range(spec.get("count", 1))
+            (f"{prefix}-n{n}-{key}{x}-s{seed}-{i:04d}", gen(n, x, seed + i)) for i in range(count)
         )
     # the generators check their spec when they build a graph: building the
     # first one here surfaces a bad spec before any output is opened
@@ -140,7 +142,9 @@ def _add_corpus_options(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--gnp", metavar="SPEC", help="n=..,p=..[,count=..][,seed=..]")
     p.add_argument("--regular", metavar="SPEC", help="n=..,r=..[,count=..][,seed=..]")
-    p.add_argument("--exhaustive", metavar="N", type=int, help="every labeled graph on N vertices")
+    p.add_argument(
+        "--exhaustive", metavar="N", type=_int_at_least(0), help="every labeled graph on N vertices"
+    )
     p.add_argument("--seed", type=int, default=0, help="default seed for generator specs")
 
 
@@ -274,8 +278,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     _write(args.out, pieces())
     if flagged:
         # a finding only sets the exit code after a from-scratch recomputation
-        from .partition import _min_parts_by_degrees
-
         _min_parts_by_degrees.cache_clear()
         _, _, graphs = _build_corpus(args)
         again = bounds_mod.per_graph(bounds_mod.build_report, graphs, args.jobs, **limits)

@@ -1,19 +1,18 @@
-"""Largest smallness-feasible set sizes and stabilization indices.
+"""Largest smallness-feasible set sizes, stabilization indices, and the exact
+part test shared with the partition solver.
 
-The largest delta-k-small set is found by a sorted-prefix rule: order the
-vertices by ascending degree and take the longest prefix that passes the
-predicate. Replacing any member of a feasible set by an unused lower-degree
-vertex can only lower the power mean, so some maximum-size set is always a
-prefix; the same exchange argument covers the pointwise 'small' kind.
+All three predicates read only a set's size, its degree multiset and n:
+``_part_arithmetic`` is their exact integer form over degree-class count
+vectors, and the largest feasible set is the longest feasible ascending-degree
+prefix (``_longest_prefix``), which is also the greedy partition's first part.
 
 As the exponent grows the power mean climbs toward the maximum member degree,
 so the delta-k family of feasible sets shrinks with k and the maximum size is
 non-increasing, reaching the plain-small maximum at a finite exponent. The
 index where the two predicates coincide for *every* subset is computed
-exhaustively in ``stabilization_index``. Both predicates depend only on a
-set's size and degree multiset, so that search runs over degree-class count
-vectors (one per multiset, prod(c_i + 1) of them for class sizes c_i) rather
-than over all 2**n vertex masks.
+exhaustively in ``stabilization_index``, over degree-class count vectors (one
+per multiset, prod(c_i + 1) of them for class sizes c_i) rather than over all
+2**n vertex masks.
 """
 
 from __future__ import annotations
@@ -79,17 +78,62 @@ def _degree_pools(g: Graph) -> list[list[int]]:
     return pools
 
 
+def _part_arithmetic(n: int, vals: list[int], kind: str, k: int):
+    """Exact integer form of the part predicate over degree classes ``vals``.
+
+    Returns ``(weight, thr)``: a part holding a_i vertices of class i, of size
+    s = sum(a_i), is feasible iff sum(a_i * weight[i]) <= thr[s]. For 'small'
+    ``thr`` is None and the test is pointwise instead: vals[top] + s <= n,
+    where top is the part's highest nonempty class.
+    """
+    if kind == "delta":
+        return [v**k for v in vals], [s * (n - s) ** k for s in range(n + 1)]
+    if kind == "alpha":
+        common = math.lcm(*(n - v for v in vals))
+        return [common // (n - v) for v in vals], [common] * (n + 1)
+    return [0] * len(vals), None
+
+
+def _fits(n: int, vals: list[int], thr, size: int, wsum: int, top: int) -> bool:
+    """The ``_part_arithmetic`` test for one nonempty part."""
+    if thr is None:
+        return vals[top] + size <= n
+    return wsum <= thr[size]
+
+
+def _longest_prefix(n: int, vals: list[int], rem: list[int], low: int, weight, thr) -> list[int]:
+    """Count vector of the longest feasible ascending-degree prefix of ``rem``
+    (classes below ``low`` are empty).
+
+    Along that order every test is monotone: a vertex of no smaller degree
+    cannot lower the power mean, the top degree or the reciprocal sum, and the
+    threshold never grows with the size, so the scan stops at the first
+    failure. Swapping a member for an unused lower-degree vertex keeps a set
+    feasible, so from the whole vertex set no feasible set is larger. A single
+    vertex always fits, so the part is nonempty whenever ``rem`` is.
+    """
+    part = [0] * len(rem)
+    size = wsum = 0
+    for i in range(low, len(rem)):
+        while part[i] < rem[i] and _fits(n, vals, thr, size + 1, wsum + weight[i], i):
+            size += 1
+            wsum += weight[i]
+            part[i] += 1
+        if part[i] < rem[i]:
+            break
+    return part
+
+
+def _max_size(n: int, vals: list[int], counts: list[int], kind: str, k: int) -> int:
+    """Largest size of a kind-feasible set: the longest feasible prefix."""
+    return sum(_longest_prefix(n, vals, counts, 0, *_part_arithmetic(n, vals, kind, k)))
+
+
 def max_small_size(g: Graph) -> int:
     """Largest size of a small set: the longest prefix with d(v_s) <= n - s."""
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    degs = sorted(g.degrees)
-    n = g.n
-    best = 0
-    for s in range(1, n + 1):
-        if degs[s - 1] <= n - s:
-            best = s
-    return best
+    return _max_size(g.n, *_degree_classes(sorted(g.degrees)), "small", 0)
 
 
 def max_delta_small_size(g: Graph, k: int) -> int:
@@ -101,15 +145,7 @@ def max_delta_small_size(g: Graph, k: int) -> int:
         raise ValueError("exponent must be >= 1")
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    degs = sorted(g.degrees)
-    n = g.n
-    best = 0
-    running = 0
-    for s in range(1, n + 1):
-        running += degs[s - 1] ** k
-        if running <= s * (n - s) ** k:
-            best = s
-    return best
+    return _max_size(g.n, *_degree_classes(sorted(g.degrees)), "delta", k)
 
 
 def _exponent_cap(size: int, top: int) -> int:
@@ -121,45 +157,60 @@ def _exponent_cap(size: int, top: int) -> int:
     return 2 + math.ceil(math.log(size) / math.log(top / (top - 0.5)))
 
 
-def _prefix_cap(g: Graph) -> int:
+def _prefix_cap(n: int, vals: list[int], counts: list[int]) -> int:
     """Certified exponent beyond which every non-small degree prefix fails the
-    power-mean test: past it the prefix rule returns the plain-small maximum."""
-    degs = sorted(g.degrees)
-    n = g.n
-    cap = 1
-    for s in range(1, n + 1):
-        top = degs[s - 1]
-        if top > n - s:
-            cap = max(cap, _exponent_cap(s, top))
-    return cap
+    power-mean test: past it the prefix rule returns the plain-small maximum.
+    The cap grows with the prefix size, so each class's last prefix decides."""
+    ends = itertools.accumulate(counts)
+    return max((_exponent_cap(end, v) for v, end in zip(vals, ends) if v > n - end), default=1)
 
 
-def size_curve(g: Graph, k_max: int, hard_cap: int | None = None) -> SizeCurve:
-    """Maximum delta-k-small sizes for k = 1..max(k_max, stabilization).
-
-    Every entry is evaluated directly from the prefix rule. The search for the
-    stabilization exponent always terminates; the hard cap exists only to turn
-    a would-be infinite loop into a loud error.
+def _staircase(value, plateau: int, cap: int, k_max: int, fill: bool, what: str):
+    """``(values, stable)``: ``value(k)`` for k = 1..max(k_max, stable), where
+    ``stable`` is the first k with ``value(k) == plateau``. With ``fill`` the
+    entries past ``stable`` are ``plateau`` and ``value`` is not called.
+    Raises StabilizationError, its message led by ``what``, if the plateau is
+    not reached by exponent ``cap``.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    plateau = max_small_size(g)
-    if hard_cap is None:
-        hard_cap = max(64, 2 * _prefix_cap(g), k_max)
     values: list[int] = []
     stable: int | None = None
     k = 1
     while stable is None or k <= k_max:
-        v = max_delta_small_size(g, k)
+        v = plateau if fill and stable is not None else value(k)
         values.append(v)
-        if stable is None and v == plateau:
-            stable = k
-        if stable is None and k >= hard_cap:
-            raise StabilizationError(
-                f"size curve still above {plateau} at exponent {k}: tail {values[-5:]}"
-            )
+        if stable is None:
+            if v == plateau:
+                stable = k
+            elif k >= cap:
+                raise StabilizationError(f"{what} {plateau} at exponent {k}: tail {values[-5:]}")
         k += 1
-    return SizeCurve(tuple(values), plateau, stable)
+    return tuple(values), stable
+
+
+def size_curve(g: Graph, k_max: int) -> SizeCurve:
+    """Maximum delta-k-small sizes for k = 1..max(k_max, stabilization).
+
+    Every entry is evaluated directly from the prefix rule, also past the
+    plateau, so the bound table's monotonicity and plateau rows test real
+    values. The search for the stabilization exponent always terminates; its
+    cap exists only to turn a would-be infinite loop into a loud error.
+    """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    if g.n < 1:
+        raise ValueError("graph must have at least one vertex")
+    n = g.n
+    vals, counts = _degree_classes(sorted(g.degrees))
+    plateau = _max_size(n, vals, counts, "small", 0)
+    values, stable = _staircase(
+        lambda k: _max_size(n, vals, counts, "delta", k),
+        plateau,
+        max(64, 2 * _prefix_cap(n, vals, counts), k_max),
+        k_max,
+        False,
+        "size curve still above",
+    )
+    return SizeCurve(values, plateau, stable)
 
 
 def stabilization_index(g: Graph, limit: int = STABILIZATION_LIMIT) -> int:

@@ -119,10 +119,6 @@ class VertexSet:
         self.graph = graph
         self.mask = mask
 
-    @classmethod
-    def all_of(cls, graph: Graph) -> "VertexSet":
-        return cls(graph, graph.full_mask)
-
     def __len__(self) -> int:
         return self.mask.bit_count()
 
@@ -152,22 +148,6 @@ class VertexSet:
     def __repr__(self) -> str:
         return f"VertexSet({sorted(self)})"
 
-    def _check_owner(self, other: "VertexSet") -> None:
-        if other.graph is not self.graph:
-            raise ValueError("vertex sets belong to different graphs")
-
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        self._check_owner(other)
-        return VertexSet(self.graph, self.mask | other.mask)
-
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        self._check_owner(other)
-        return VertexSet(self.graph, self.mask & other.mask)
-
-    def __sub__(self, other: "VertexSet") -> "VertexSet":
-        self._check_owner(other)
-        return VertexSet(self.graph, self.mask & ~other.mask)
-
     def complement(self) -> "VertexSet":
         return VertexSet(self.graph, self.graph.full_mask & ~self.mask)
 
@@ -175,9 +155,6 @@ class VertexSet:
         """Member degrees, in ascending vertex-id order."""
         d = self.graph.degrees
         return tuple(d[v] for v in self)
-
-    def to_ids(self) -> tuple[int, ...]:
-        return tuple(self)
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -341,6 +318,8 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
 
     Deterministic for a fixed seed; pairs are drawn in lexicographic order.
     """
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0, 1]")
     rng = random.Random(seed)
@@ -404,6 +383,8 @@ def enumerate_graphs(n: int, limit: int = ENUMERATION_LIMIT) -> Iterator[Graph]:
     fixed deterministic sequence. Refuses n above the limit; sample with
     gen_gnp instead at that scale.
     """
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
     if n > limit:
         raise SizeLimitError(
             f"exhaustive enumeration capped at n={limit} (got {n}); sample with gen_gnp"

@@ -3,13 +3,14 @@ alpha-small parts, plus exact clique, independence, and chromatic numbers.
 
 Whether a part is feasible depends only on its degree multiset, its size, and
 n, never on the induced subgraph. The minimizer therefore works on vectors of
-per-degree-class counts rather than raw vertex subsets, with one exact integer
-weight-and-threshold test per kind (``_part_arithmetic``). Typical answers are
-2 or 3, so the solve is bounded by the answer:
+per-degree-class counts rather than raw vertex subsets, with the exact integer
+weight-and-threshold test of ``extremal._part_arithmetic``. Typical answers
+are 2 or 3, so the solve is bounded by the answer:
 
 1. the whole vertex set is checked as a single part;
-2. the ascending-degree prefix greedy runs in count space; 2 greedy parts are
-   optimal once a single part has failed;
+2. the ascending-degree prefix greedy runs in count space, stripping
+   ``extremal._longest_prefix`` parts; 2 greedy parts are optimal once a
+   single part has failed;
 3. every sub-vector holding a lowest-class vertex is tried as one of two
    parts, its complement as the other (one sweep over the count vectors);
 4. if no 2-part split exists and the greedy used 3 parts, its parts are the
@@ -31,14 +32,14 @@ corpus sweeps that repeat a degree sequence pay for it once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
 from . import smallness
-from .errors import SizeLimitError, StabilizationError
-from .extremal import _degree_classes, _degree_pools, _exponent_cap
+from .errors import SizeLimitError
+from .extremal import _degree_classes, _degree_pools, _exponent_cap, _fits
+from .extremal import _longest_prefix, _part_arithmetic, _staircase
 from .graphs import Graph, VertexSet
 
 DEFAULT_EXACT_LIMIT = 18
@@ -149,51 +150,17 @@ def make_partition(
 # exact minimizer over degree-class count vectors
 
 
-def _part_arithmetic(n: int, vals: list[int], kind: str, k: int):
-    """Exact integer form of the part predicate over degree classes ``vals``.
-
-    Returns ``(weight, thr)``: a part holding a_i vertices of class i, of size
-    s = sum(a_i), is feasible iff sum(a_i * weight[i]) <= thr[s]. For 'small'
-    ``thr`` is None and the test is pointwise instead: vals[top] + s <= n,
-    where top is the part's highest nonempty class.
-    """
-    if kind == "delta":
-        return [v**k for v in vals], [s * (n - s) ** k for s in range(n + 1)]
-    if kind == "alpha":
-        common = math.lcm(*(n - v for v in vals))
-        return [common // (n - v) for v in vals], [common] * (n + 1)
-    return [0] * len(vals), None
-
-
-def _fits(n: int, vals: list[int], thr, size: int, wsum: int, top: int) -> bool:
-    """The ``_part_arithmetic`` test for one nonempty part."""
-    if thr is None:
-        return vals[top] + size <= n
-    return wsum <= thr[size]
-
-
 def _greedy_vectors(n: int, vals: list[int], counts: list[int], weight, thr):
     """Ascending-degree prefix greedy in count space: repeatedly strip the
-    longest feasible prefix of the remaining vertices, classes taken in
-    ascending degree order. A single vertex always fits, so every part is
-    nonempty."""
-    m = len(counts)
+    ``_longest_prefix`` of the remaining vertices."""
     rem = list(counts)
     parts: list[tuple[int, ...]] = []
     low = 0
-    while low < m:
-        part = [0] * m
-        size = wsum = 0
-        for i in range(low, m):
-            while rem[i] and _fits(n, vals, thr, size + 1, wsum + weight[i], i):
-                size += 1
-                wsum += weight[i]
-                part[i] += 1
-                rem[i] -= 1
-            if rem[i]:
-                break
+    while low < len(rem):
+        part = _longest_prefix(n, vals, rem, low, weight, thr)
         parts.append(tuple(part))
-        while low < m and not rem[low]:
+        rem = [r - a for r, a in zip(rem, part)]
+        while low < len(rem) and not rem[low]:
             low += 1
     return parts
 
@@ -389,12 +356,8 @@ def min_partition(
 
 def greedy_partition(g: Graph, kind: str, k: int | None = None) -> PartitionResult:
     """Certified upper bound: repeatedly strip the longest feasible prefix of
-    the remaining vertices in ascending-degree order.
-
-    Along that order each predicate is monotone (extending a prefix by a
-    vertex of no smaller degree while the threshold shrinks cannot restore
-    feasibility), so the scan may stop at the first failure.
-    """
+    the remaining vertices in ascending-degree order. Its first part is a
+    largest feasible set (``extremal._longest_prefix``)."""
     kk = _check_kind(kind, k)
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
@@ -431,24 +394,15 @@ def partition_curve(
         raise SizeLimitError(f"exact partition search capped at n={limit} (got {g.n})")
     degs = tuple(sorted(g.degrees))
     small_value = _min_parts_by_degrees(g.n, degs, "small", kk)[0]
-    cap = _exponent_cap(g.n, g.max_degree) + 8
-    values: list[int] = []
-    stable: int | None = None
-    k = 1
-    while stable is None or k <= k_max:
-        if stable is not None and not resolve_all:
-            v = small_value
-        else:
-            v = _min_parts_by_degrees(g.n, degs, "delta", k)[0]
-        values.append(v)
-        if stable is None and v == small_value:
-            stable = k
-        if stable is None and k >= cap:
-            raise StabilizationError(
-                f"partition curve still below {small_value} at exponent {k}"
-            )
-        k += 1
-    return PartitionCurve(tuple(values), small_value, stable)
+    values, stable = _staircase(
+        lambda k: _min_parts_by_degrees(g.n, degs, "delta", k)[0],
+        small_value,
+        _exponent_cap(g.n, g.max_degree) + 8,
+        k_max,
+        not resolve_all,
+        "partition curve still below",
+    )
+    return PartitionCurve(values, small_value, stable)
 
 
 def brute_min_parts(g: Graph, kind: str, k: int | None = None, limit: int = BRUTE_LIMIT) -> int:

@@ -240,6 +240,7 @@ def test_negative_exact_limit_env_exit_1():
         (("fuzz-lemma", "--trials", "-3"), "--trials"),
         (("fuzz-lemma", "--k", "0", "--trials", "1"), "--k"),
         (("fuzz-lemma", "--r-min", "1", "--trials", "1"), "--r-min"),
+        (("scan", "--exhaustive", "-3"), "--exhaustive"),
     ],
 )
 def test_out_of_range_flag_exit_1(args, flag):
@@ -250,6 +251,26 @@ def test_out_of_range_flag_exit_1(args, flag):
     assert len(errors) == 1
     assert errors[0].startswith(f"deltasets: error: argument {flag}: must be at least")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("scan", "--gnp", "n=-4,p=0.5"),
+        ("analyze", "--gnp", "n=5,p=0.5,count=-2"),
+        ("verify", "--gnp", "n=5,p=0.5,count=-2"),
+        ("verify", "--regular", "n=6,r=2,count=-1"),
+    ],
+)
+def test_negative_corpus_size_exit_1(tmp_path, args):
+    path = tmp_path / "out.txt"
+    result = run_cli(*args, "--out", str(path))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    errors = [line for line in result.stderr.splitlines() if line.startswith("deltasets: error:")]
+    assert len(errors) == 1
+    assert "Traceback" not in result.stderr
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("persistent, code", [(True, 3), (False, 0)])

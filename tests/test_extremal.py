@@ -80,6 +80,29 @@ def test_size_curve_extends_past_kmax_until_stable():
     assert all(a >= b for a, b in zip(curve.values, curve.values[1:]))
 
 
+def test_staircase_cap_fill_and_full_evaluation():
+    from deltasets import StabilizationError
+    from deltasets.extremal import _staircase
+
+    calls = []
+
+    def value(k):
+        calls.append(k)
+        return 5 if k < 3 else 2  # reaches the plateau 2 at k = 3
+
+    with pytest.raises(StabilizationError, match="at exponent 7"):
+        _staircase(lambda k: calls.append(k) or 5, 2, 7, 10, True, "never")
+    assert calls == list(range(1, 8))  # raised exactly at the cap
+
+    calls.clear()
+    assert _staircase(value, 2, 64, 6, True, "x") == ((5, 5, 2, 2, 2, 2), 3)
+    assert calls == [1, 2, 3]  # filled past the first plateau hit
+
+    calls.clear()
+    assert _staircase(value, 2, 64, 6, False, "x") == ((5, 5, 2, 2, 2, 2), 3)
+    assert calls == [1, 2, 3, 4, 5, 6]  # every exponent up to k_max evaluated
+
+
 def test_size_curve_non_increasing_and_window(zoo):
     for g in zoo.values():
         curve = size_curve(g, 6)
