@@ -803,16 +803,18 @@ def _verify_graph(
         if row.applicable and row.satisfied is not None:
             checks.append(("bound-table", row.satisfied, f"{row.name} vs {row.target}"))
 
-    # predicate implications. Both predicates read only a set's size and
-    # degree multiset, so one representative per degree-class count vector
-    # stands for every subset: the sweep is exhaustive while there are at most
-    # _SWEEP_BUDGET vectors.
+    # predicate implications and the stabilization index, in one sweep. Both
+    # predicates read only a set's size and degree multiset, so one
+    # representative per degree-class count vector stands for every subset:
+    # the sweep is exhaustive while there are at most _SWEEP_BUDGET vectors,
+    # and only then confirms build_report's index k0.
     n = g.n
     pools = _degree_pools(g)
-    reps: list[int] | None = None
     masks: Iterable[int]
+    k0 = None
     if math.prod(len(pool) + 1 for pool in pools) <= _SWEEP_BUDGET:
-        masks = reps = _class_representatives(pools)
+        masks = _class_representatives(pools)
+        k0 = report.exact.get("stabilization_index")
     else:
         rng = random.Random(0xD5)
         masks = [rng.randrange(1 << n) for _ in range(256)]
@@ -820,19 +822,25 @@ def _verify_graph(
     ok_impl = True
     ok_chain = True
     ok_reg = True
+    confirm = True
+    witness = False
     for mask in masks:
         vs = VertexSet(g, mask)
         small = smallness.is_small(g, vs).holds
-        prev = None
+        dk = {k: smallness.is_delta_small(g, vs, k).holds for k in range(1, 5)}
         for k in range(1, 5):
-            dk = smallness.is_delta_small(g, vs, k).holds
-            if small and not dk:
+            if small and not dk[k]:
                 ok_impl = False
-            if prev is not None and dk and not prev:
+            if k > 1 and dk[k] and not dk[k - 1]:
                 ok_chain = False  # passing at k must imply passing at k - 1
-            if regular and dk != small:
+            if regular and dk[k] != small:
                 ok_reg = False
-            prev = dk
+        if k0 is not None and not small:  # no such set passes at k0, one at k0 - 1
+            for k in (k0 - 1, k0):
+                if k > 4:
+                    dk[k] = smallness.is_delta_small(g, vs, k).holds
+            confirm = confirm and not dk[k0]
+            witness = witness or k0 > 1 and dk[k0 - 1]
     checks.append(("predicates", ok_impl, "small sets pass every power-mean exponent"))
     checks.append(("predicates", ok_chain, "power-mean feasibility shrinks with the exponent"))
     if regular:
@@ -847,21 +855,9 @@ def _verify_graph(
                 ok = partition_power_mean_check(g, res.witness, k)
                 checks.append(("partition-mean", ok, f"exponent {k}, {res.value} parts"))
 
-    # stabilization: exhaustive confirmation of the index build_report computed
-    k0 = report.exact.get("stabilization_index")
-    if reps is not None and k0 is not None:
-        confirm = all(
-            smallness.is_small(g, VertexSet(g, mask)).holds
-            for mask in reps
-            if smallness.is_delta_small(g, VertexSet(g, mask), k0).holds
-        )
+    if k0 is not None:
         checks.append(("stabilization", confirm, f"all power-mean sets small at k={k0}"))
         if k0 > 1:
-            witness = any(
-                not smallness.is_small(g, VertexSet(g, mask)).holds
-                and smallness.is_delta_small(g, VertexSet(g, mask), k0 - 1).holds
-                for mask in reps
-            )
             checks.append(("stabilization", witness, f"violator exists at k={k0 - 1}"))
     return checks
 

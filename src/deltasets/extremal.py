@@ -12,7 +12,9 @@ non-increasing, reaching the plain-small maximum at a finite exponent. The
 index where the two predicates coincide for *every* subset is computed
 exhaustively in ``stabilization_index``, over degree-class count vectors (one
 per multiset, prod(c_i + 1) of them for class sizes c_i) rather than over all
-2**n vertex masks.
+2**n vertex masks, with the same ``_part_arithmetic`` test. One certified
+exponent, ``_exponent_cap``, bounds the size curve, the partition curve and
+the stabilization index alike.
 """
 
 from __future__ import annotations
@@ -148,21 +150,18 @@ def max_delta_small_size(g: Graph, k: int) -> int:
     return _max_size(g.n, *_degree_classes(sorted(g.degrees)), "delta", k)
 
 
-def _exponent_cap(size: int, top: int) -> int:
-    """Exponent by which a non-small set of ``size`` members with maximum degree
-    ``top`` fails the power-mean test: its mean is at least top * size**(-1/k),
-    past this k above top - 1/2, which integer rounding turns into a refutation."""
-    if top == 0 or size <= 1:
-        return 1
-    return 2 + math.ceil(math.log(size) / math.log(top / (top - 0.5)))
-
-
-def _prefix_cap(n: int, vals: list[int], counts: list[int]) -> int:
-    """Certified exponent beyond which every non-small degree prefix fails the
-    power-mean test: past it the prefix rule returns the plain-small maximum.
-    The cap grows with the prefix size, so each class's last prefix decides."""
-    ends = itertools.accumulate(counts)
-    return max((_exponent_cap(end, v) for v, end in zip(vals, ends) if v > n - end), default=1)
+def _exponent_cap(g: Graph) -> int:
+    """Certified exponent by which every non-small set of ``g`` fails the
+    power-mean test, so the size curve, the partition curve and the
+    stabilization index all reach their plain-small values by it. A non-small
+    set of s members with top degree d has power mean at least d * s**(-1/k),
+    above d - 1/2 > n - s once k > log(s) / log(d / (d - 1/2)); that grows with
+    s and d, so s = n and the maximum degree serve every set, and 8 spare
+    exponents absorb the float logarithm."""
+    top = g.max_degree
+    if top == 0:
+        return 1 + 8  # every set is small
+    return 2 + 8 + math.ceil(math.log(g.n) / math.log(top / (top - 0.5)))
 
 
 def _staircase(value, plateau: int, cap: int, k_max: int, fill: bool, what: str):
@@ -205,7 +204,7 @@ def size_curve(g: Graph, k_max: int) -> SizeCurve:
     values, stable = _staircase(
         lambda k: _max_size(n, vals, counts, "delta", k),
         plateau,
-        max(64, 2 * _prefix_cap(n, vals, counts), k_max),
+        _exponent_cap(g),
         k_max,
         False,
         "size curve still above",
@@ -219,12 +218,12 @@ def stabilization_index(g: Graph, limit: int = STABILIZATION_LIMIT) -> int:
     Exhaustive over every vertex subset, visited one degree multiset at a time:
     both predicates see only a set's size and member degrees, so each vector
     of per-degree-class counts stands for all subsets with that multiset, and
-    prod(c_i + 1) vectors cover all 2**n subsets. For each non-small multiset
-    the exponents at which it still passes the power-mean test form a prefix
-    1..K (the power mean is non-decreasing in k), so k* is one past the
-    largest such K. The inner loop is guaranteed to stop because the power
-    mean converges to the maximum member degree, which exceeds the fixed
-    threshold n - |W|; an explicit per-set cap asserts that.
+    prod(c_i + 1) vectors cover all 2**n subsets; they are streamed, never
+    collected. For each non-small multiset the exponents at which it still
+    passes the power-mean test form a prefix 1..K (the power mean is
+    non-decreasing in k), so k* is one past the largest such K. Both tests are
+    ``_part_arithmetic``'s, one (weight, thr) per exponent shared by all
+    vectors; a multiset still passing at ``_exponent_cap`` is an error.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
@@ -232,30 +231,26 @@ def stabilization_index(g: Graph, limit: int = STABILIZATION_LIMIT) -> int:
         raise SizeLimitError(f"stabilization search capped at n={limit} (got {g.n})")
     n = g.n
     vals, counts = _degree_classes(sorted(g.degrees))
+    cap = _exponent_cap(g)
+    tests: list[tuple] = []  # tests[k - 1]: the delta-k (weight, thr)
     best = 1
     for cvec in itertools.product(*(range(c + 1) for c in counts)):
-        members = [(d, c) for d, c in zip(vals, cvec) if c]
-        if not members:
-            continue  # the empty set is small
         size = sum(cvec)
-        t = n - size
-        top = members[-1][0]  # classes ascend by degree
-        if top <= t:
+        if size == 0:
+            continue  # the empty set is small
+        top = max(i for i, c in enumerate(cvec) if c)
+        if _fits(n, vals, None, size, 0, top):
             continue  # small sets are never violators
-        if t == 0:
-            continue  # positive power sum can never fit a zero threshold
-        cap = _exponent_cap(size, top)
-        powers = [d for d, _ in members]
-        k = 1
-        last_ok = 0
-        while sum(p * c for p, (_, c) in zip(powers, members)) <= size * t**k:
-            last_ok = k
-            k += 1
-            if k > cap + 2:
+        for k in itertools.count(1):
+            if k > len(tests):
+                tests.append(_part_arithmetic(n, vals, "delta", k))
+            weight, thr = tests[k - 1]
+            if not _fits(n, vals, thr, size, sum(c * w for c, w in zip(cvec, weight)), top):
+                break
+            if k >= cap:
+                members = {vals[i]: c for i, c in enumerate(cvec) if c}
                 raise StabilizationError(
-                    f"degree multiset {dict(members)} still passes the power-mean test at k={k}"
+                    f"degree multiset {members} still passes the power-mean test at k={k}"
                 )
-            powers = [p * d for p, (d, _) in zip(powers, members)]
-        if last_ok + 1 > best:
-            best = last_ok + 1
+        best = max(best, k)
     return best

@@ -397,7 +397,7 @@ def partition_curve(
     values, stable = _staircase(
         lambda k: _min_parts_by_degrees(g.n, degs, "delta", k)[0],
         small_value,
-        _exponent_cap(g.n, g.max_degree) + 8,
+        _exponent_cap(g),
         k_max,
         not resolve_all,
         "partition curve still below",

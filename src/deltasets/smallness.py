@@ -20,6 +20,7 @@ an empty-part special case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -124,8 +125,7 @@ def is_alpha_small(g: Graph, members: VertexSet | Iterable[int]) -> SmallnessVer
 
     n - d(v) >= 1 always, so there is no division by zero.
     """
-    w = coerce_set(g, members)
-    n = g.n
-    total = sum((Fraction(1, n - d) for d in w.degrees()), Fraction(0))
-    slack = 1 - total
+    gaps = [g.n - d for d in coerce_set(g, members).degrees()]
+    den = math.lcm(*gaps)  # one common denominator; 1 for the empty set
+    slack = Fraction(den - sum(den // x for x in gaps), den)
     return SmallnessVerdict(kind="alpha", holds=slack >= 0, slack=slack)

@@ -385,6 +385,21 @@ def test_verify_predicate_sweep_catches_one_faulty_multiset(monkeypatch):
     assert ("predicates", False, "small sets pass every power-mean exponent") in checks
 
 
+def test_verify_stabilization_sweep_refutes_a_wrong_index(monkeypatch):
+    from deltasets import bounds
+    from deltasets.bounds import _verify_graph
+
+    g = gen_gnp(8, 0.5, seed=4)  # index 6: both checks read exponents above 4
+    true_k0 = bounds.stabilization_index(g)
+    assert true_k0 == 6
+    for k0, refuted in ((true_k0 - 1, "all power-mean sets small at k=5"),
+                        (true_k0 + 1, "violator exists at k=6")):
+        monkeypatch.setattr(bounds, "stabilization_index", lambda graph, limit, k0=k0: k0)
+        stab = [c for c in _verify_graph(g, "g", **_VERIFY_PARAMS) if c[0] == "stabilization"]
+        assert ("stabilization", False, refuted) in stab
+        assert len(stab) == 2
+
+
 def _corpus(count=12):
     return [(f"g{i}", gen_gnp(6, (0.3, 0.5, 0.7)[i % 3], seed=1500 + i)) for i in range(count)]
 

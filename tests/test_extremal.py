@@ -103,6 +103,21 @@ def test_staircase_cap_fill_and_full_evaluation():
     assert calls == [1, 2, 3, 4, 5, 6]  # every exponent up to k_max evaluated
 
 
+def test_one_exponent_cap_bounds_all_three_staircases(monkeypatch):
+    from deltasets import StabilizationError, extremal, partition, partition_curve
+
+    g = gen_gnp(8, 0.5, seed=4)
+    assert size_curve(g, 1).stable_k == partition_curve(g, 1).stable_k == 3
+    assert stabilization_index(g) == 6
+    for module in (extremal, partition):
+        monkeypatch.setattr(module, "_exponent_cap", lambda graph: 2)
+    for staircase in (size_curve, partition_curve):
+        with pytest.raises(StabilizationError, match="at exponent 2"):
+            staircase(g, 1)
+    with pytest.raises(StabilizationError, match="at k=2"):
+        stabilization_index(g)
+
+
 def test_size_curve_non_increasing_and_window(zoo):
     for g in zoo.values():
         curve = size_curve(g, 6)
