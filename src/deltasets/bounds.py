@@ -20,7 +20,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from . import smallness
-from .extremal import _degree_pools, degree_order, size_curve, stabilization_index
+from .extremal import _degree_pools, _part_arithmetic, degree_order, size_curve
+from .extremal import stabilization_index
 from .graphs import Graph, VertexSet
 from .partition import (
     BRUTE_LIMIT,
@@ -877,6 +878,7 @@ def _checked_graph(g: Graph, gid: str, **params) -> tuple[list[tuple[str, bool, 
             out.append((suite, True, detail))
             continue
         _min_parts_by_degrees.cache_clear()
+        _part_arithmetic.cache_clear()
         recheck = _verify_graph(g, gid, **params)
         still = [d for s, ok2, d in recheck if s == suite and d == detail and not ok2]
         brute_note = ""

@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import bounds as bounds_mod
 from .errors import DeltaSetsError, ParseError, SizeLimitError
+from .extremal import _part_arithmetic
 from .graphs import (
     Graph,
     emit_dimacs,
@@ -279,6 +280,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if flagged:
         # a finding only sets the exit code after a from-scratch recomputation
         _min_parts_by_degrees.cache_clear()
+        _part_arithmetic.cache_clear()
         _, _, graphs = _build_corpus(args)
         again = bounds_mod.per_graph(bounds_mod.build_report, graphs, args.jobs, **limits)
         if any(r.findings() for r in again):

@@ -1,10 +1,13 @@
 """Largest smallness-feasible set sizes, stabilization indices, and the exact
 part test shared with the partition solver.
 
-All three predicates read only a set's size, its degree multiset and n:
-``_part_arithmetic`` is their exact integer form over degree-class count
-vectors, and the largest feasible set is the longest feasible ascending-degree
-prefix (``_longest_prefix``), which is also the greedy partition's first part.
+All three predicates read only a set's size, its degree multiset and n, and
+``_part_arithmetic`` gives each one exact integer form over degree-class count
+vectors: per-class weights summed over the part, against a threshold for its
+size. Plain smallness, the power-mean test's k -> infinity limit, takes
+base-(n+1) weights, whose sum reveals the part's top degree. The largest
+feasible set is the longest feasible ascending-degree prefix
+(``_longest_prefix``), which is also the greedy partition's first part.
 
 As the exponent grows the power mean climbs toward the maximum member degree,
 so the delta-k family of feasible sets shrinks with k and the maximum size is
@@ -22,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import SizeLimitError, StabilizationError
@@ -54,7 +58,7 @@ def degree_order(g: Graph) -> tuple[int, ...]:
     return tuple(sorted(range(g.n), key=lambda v: (g.degrees[v], v)))
 
 
-def _degree_classes(degs: Sequence[int]) -> tuple[list[int], list[int]]:
+def _degree_classes(degs: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
     """Distinct values of a sorted degree sequence and how often each occurs."""
     vals: list[int] = []
     counts: list[int] = []
@@ -64,7 +68,7 @@ def _degree_classes(degs: Sequence[int]) -> tuple[list[int], list[int]]:
         else:
             vals.append(d)
             counts.append(1)
-    return vals, counts
+    return tuple(vals), counts
 
 
 def _degree_pools(g: Graph) -> list[list[int]]:
@@ -80,30 +84,28 @@ def _degree_pools(g: Graph) -> list[list[int]]:
     return pools
 
 
-def _part_arithmetic(n: int, vals: list[int], kind: str, k: int):
+@lru_cache(maxsize=1 << 12)
+def _part_arithmetic(n: int, vals: tuple[int, ...], kind: str, k: int):
     """Exact integer form of the part predicate over degree classes ``vals``.
 
     Returns ``(weight, thr)``: a part holding a_i vertices of class i, of size
-    s = sum(a_i), is feasible iff sum(a_i * weight[i]) <= thr[s]. For 'small'
-    ``thr`` is None and the test is pointwise instead: vals[top] + s <= n,
-    where top is the part's highest nonempty class.
+    s = sum(a_i), is feasible iff sum(a_i * weight[i]) <= thr[s], for every
+    kind. For 'small' the weights are (n+1)**d per class of degree d and
+    thr[s] = (n+1)**(n-s+1) - 1: a part of s <= n members with top degree d
+    weighs between (n+1)**d and s * (n+1)**d < (n+1)**(d+1), so it is within
+    thr[s] iff d <= n - s. Memoized per (n, vals, kind, k), so callers share
+    one pair; it is made of tuples so that none can change it for the others.
     """
     if kind == "delta":
-        return [v**k for v in vals], [s * (n - s) ** k for s in range(n + 1)]
+        return tuple(v**k for v in vals), tuple(s * (n - s) ** k for s in range(n + 1))
     if kind == "alpha":
         common = math.lcm(*(n - v for v in vals))
-        return [common // (n - v) for v in vals], [common] * (n + 1)
-    return [0] * len(vals), None
+        return tuple(common // (n - v) for v in vals), (common,) * (n + 1)
+    base = n + 1
+    return tuple(base**v for v in vals), tuple(base ** (n - s + 1) - 1 for s in range(n + 1))
 
 
-def _fits(n: int, vals: list[int], thr, size: int, wsum: int, top: int) -> bool:
-    """The ``_part_arithmetic`` test for one nonempty part."""
-    if thr is None:
-        return vals[top] + size <= n
-    return wsum <= thr[size]
-
-
-def _longest_prefix(n: int, vals: list[int], rem: list[int], low: int, weight, thr) -> list[int]:
+def _longest_prefix(rem: list[int], low: int, weight, thr) -> list[int]:
     """Count vector of the longest feasible ascending-degree prefix of ``rem``
     (classes below ``low`` are empty).
 
@@ -117,7 +119,7 @@ def _longest_prefix(n: int, vals: list[int], rem: list[int], low: int, weight, t
     part = [0] * len(rem)
     size = wsum = 0
     for i in range(low, len(rem)):
-        while part[i] < rem[i] and _fits(n, vals, thr, size + 1, wsum + weight[i], i):
+        while part[i] < rem[i] and wsum + weight[i] <= thr[size + 1]:
             size += 1
             wsum += weight[i]
             part[i] += 1
@@ -126,9 +128,9 @@ def _longest_prefix(n: int, vals: list[int], rem: list[int], low: int, weight, t
     return part
 
 
-def _max_size(n: int, vals: list[int], counts: list[int], kind: str, k: int) -> int:
+def _max_size(n: int, vals: tuple[int, ...], counts: list[int], kind: str, k: int) -> int:
     """Largest size of a kind-feasible set: the longest feasible prefix."""
-    return sum(_longest_prefix(n, vals, counts, 0, *_part_arithmetic(n, vals, kind, k)))
+    return sum(_longest_prefix(counts, 0, *_part_arithmetic(n, vals, kind, k)))
 
 
 def max_small_size(g: Graph) -> int:
@@ -222,8 +224,8 @@ def stabilization_index(g: Graph, limit: int = STABILIZATION_LIMIT) -> int:
     collected. For each non-small multiset the exponents at which it still
     passes the power-mean test form a prefix 1..K (the power mean is
     non-decreasing in k), so k* is one past the largest such K. Both tests are
-    ``_part_arithmetic``'s, one (weight, thr) per exponent shared by all
-    vectors; a multiset still passing at ``_exponent_cap`` is an error.
+    ``_part_arithmetic``'s memoized (weight, thr) comparisons; a multiset still
+    passing at ``_exponent_cap`` is an error.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
@@ -232,20 +234,15 @@ def stabilization_index(g: Graph, limit: int = STABILIZATION_LIMIT) -> int:
     n = g.n
     vals, counts = _degree_classes(sorted(g.degrees))
     cap = _exponent_cap(g)
-    tests: list[tuple] = []  # tests[k - 1]: the delta-k (weight, thr)
+    small_weight, small_thr = _part_arithmetic(n, vals, "small", 0)
     best = 1
     for cvec in itertools.product(*(range(c + 1) for c in counts)):
         size = sum(cvec)
-        if size == 0:
-            continue  # the empty set is small
-        top = max(i for i, c in enumerate(cvec) if c)
-        if _fits(n, vals, None, size, 0, top):
-            continue  # small sets are never violators
+        if sum(c * w for c, w in zip(cvec, small_weight)) <= small_thr[size]:
+            continue  # small sets (the empty one too) are never violators
         for k in itertools.count(1):
-            if k > len(tests):
-                tests.append(_part_arithmetic(n, vals, "delta", k))
-            weight, thr = tests[k - 1]
-            if not _fits(n, vals, thr, size, sum(c * w for c, w in zip(cvec, weight)), top):
+            weight, thr = _part_arithmetic(n, vals, "delta", k)
+            if sum(c * w for c, w in zip(cvec, weight)) > thr[size]:
                 break
             if k >= cap:
                 members = {vals[i]: c for i, c in enumerate(cvec) if c}

@@ -3,9 +3,10 @@ alpha-small parts, plus exact clique, independence, and chromatic numbers.
 
 Whether a part is feasible depends only on its degree multiset, its size, and
 n, never on the induced subgraph. The minimizer therefore works on vectors of
-per-degree-class counts rather than raw vertex subsets, with the exact integer
-weight-and-threshold test of ``extremal._part_arithmetic``. Typical answers
-are 2 or 3, so the solve is bounded by the answer:
+per-degree-class counts rather than raw vertex subsets, with one exact part
+test for every kind, plain smallness included: the weight sum of
+``extremal._part_arithmetic`` against its threshold for the part's size.
+Typical answers are 2 or 3, so the solve is bounded by the answer:
 
 1. the whole vertex set is checked as a single part;
 2. the ascending-degree prefix greedy runs in count space, stripping
@@ -38,7 +39,7 @@ from typing import Iterable
 
 from . import smallness
 from .errors import SizeLimitError
-from .extremal import _degree_classes, _degree_pools, _exponent_cap, _fits
+from .extremal import _degree_classes, _degree_pools, _exponent_cap
 from .extremal import _longest_prefix, _part_arithmetic, _staircase
 from .graphs import Graph, VertexSet
 
@@ -150,14 +151,14 @@ def make_partition(
 # exact minimizer over degree-class count vectors
 
 
-def _greedy_vectors(n: int, vals: list[int], counts: list[int], weight, thr):
+def _greedy_vectors(counts: list[int], weight, thr):
     """Ascending-degree prefix greedy in count space: repeatedly strip the
     ``_longest_prefix`` of the remaining vertices."""
     rem = list(counts)
     parts: list[tuple[int, ...]] = []
     low = 0
     while low < len(rem):
-        part = _longest_prefix(n, vals, rem, low, weight, thr)
+        part = _longest_prefix(rem, low, weight, thr)
         parts.append(tuple(part))
         rem = [r - a for r, a in zip(rem, part)]
         while low < len(rem) and not rem[low]:
@@ -165,7 +166,7 @@ def _greedy_vectors(n: int, vals: list[int], counts: list[int], weight, thr):
     return parts
 
 
-def _two_part_split(n: int, vals: list[int], counts: list[int], weight, thr):
+def _two_part_split(n: int, counts: list[int], weight, thr):
     """A count vector A holding at least one lowest-class vertex such that A
     and its complement ``counts - A`` are both nonempty and feasible, or None.
 
@@ -180,16 +181,13 @@ def _two_part_split(n: int, vals: list[int], counts: list[int], weight, thr):
     # odometer over the classes above the lowest; classes 1..m-1 of A hold
     # ``digits[1:]`` vertices, ``size`` and ``wsum`` in all
     digits = [0] * m
-    size = wsum = top = ctop = 0
+    size = wsum = 0
     while True:
-        if thr is None:  # 'small' reads the highest nonempty class of each part
-            top = next((i for i in range(m - 1, 0, -1) if digits[i]), 0)
-            ctop = next((i for i in range(m - 1, 0, -1) if digits[i] < counts[i]), 0)
         for a in range(1, c0 + 1):
             s, w = size + a, wsum + a * w0
             if s == n:
                 break
-            if _fits(n, vals, thr, s, w, top) and _fits(n, vals, thr, n - s, total - w, ctop):
+            if w <= thr[s] and total - w <= thr[n - s]:
                 return (a, *digits[1:])
         i = 1
         while i < m and digits[i] == counts[i]:
@@ -210,12 +208,12 @@ def _min_parts_bounded(n: int, degs: tuple[int, ...], kind: str, k: int):
     witness; ``_min_parts_impl`` otherwise."""
     vals, counts = _degree_classes(degs)
     weight, thr = _part_arithmetic(n, vals, kind, k)
-    if _fits(n, vals, thr, n, sum(c * w for c, w in zip(counts, weight)), len(vals) - 1):
+    if sum(c * w for c, w in zip(counts, weight)) <= thr[n]:
         return 1, (tuple(counts),)
-    greedy = _greedy_vectors(n, vals, counts, weight, thr)
+    greedy = _greedy_vectors(counts, weight, thr)
     if len(greedy) == 2:
         return 2, tuple(greedy)
-    split = _two_part_split(n, vals, counts, weight, thr)
+    split = _two_part_split(n, counts, weight, thr)
     if split is not None:
         return 2, (split, tuple(c - a for c, a in zip(counts, split)))
     if len(greedy) == 3:
@@ -238,7 +236,6 @@ def _min_parts_impl(n: int, degs: tuple[int, ...], kind: str, k: int):
     choice = [0] * total
     digits = [0] * m
     sub = [0] * m
-    small_mode = thr is None
 
     for key in range(1, total):
         i = 0
@@ -254,15 +251,10 @@ def _min_parts_impl(n: int, degs: tuple[int, ...], kind: str, k: int):
         subkey = stride[low]
         size = 1
         wsum = weight[low]
-        top = low
         bb = inf
         bc = 0
         while True:
-            if small_mode:
-                feasible = vals[top] + size <= n
-            else:
-                feasible = wsum <= thr[size]
-            if feasible:
+            if wsum <= thr[size]:
                 c = best[key - subkey] + 1
                 if c < bb:
                     bb = c
@@ -276,8 +268,6 @@ def _min_parts_impl(n: int, degs: tuple[int, ...], kind: str, k: int):
             subkey += stride[j]
             size += 1
             wsum += weight[j]
-            if j > top:
-                top = j
             if j > low:
                 c0 = sub[low]
                 if c0 > 1:
@@ -363,7 +353,7 @@ def greedy_partition(g: Graph, kind: str, k: int | None = None) -> PartitionResu
         raise ValueError("graph must have at least one vertex")
     vals, counts = _degree_classes(sorted(g.degrees))
     weight, thr = _part_arithmetic(g.n, vals, kind, kk)
-    witness = _materialize(g, _greedy_vectors(g.n, vals, counts, weight, thr), kind, k)
+    witness = _materialize(g, _greedy_vectors(counts, weight, thr), kind, k)
     if not witness.certified:
         raise AssertionError("internal: greedy produced an uncertified part")
     return PartitionResult(len(witness), witness, "greedy_upper_only")

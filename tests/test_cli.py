@@ -7,12 +7,19 @@ import sys
 import pytest
 
 
-def run_cli(*args, **kwargs):
+def cli_env():
+    """This process's environment without the DELTASETS_* settings, which
+    would change the output under test."""
+    return {k: v for k, v in os.environ.items() if not k.startswith("DELTASETS_")}
+
+
+def run_cli(*args, env=None, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "deltasets", *args],
         capture_output=True,
         text=True,
         timeout=300,
+        env=cli_env() if env is None else env,
         **kwargs,
     )
 
@@ -60,6 +67,28 @@ def test_analyze_csv_bytes_pinned():
         hashlib.sha256(result.stdout.encode()).hexdigest()
         == "0300d9a0e52081c700a7a43ff647bf69762825dc2ad3cbaad6849ee748a879c8"
     )
+
+
+# sha256 of stdout; the last is perfbench's ANALYZE_DIGEST. A change that
+# moves these bytes on purpose re-pins the digest and says why.
+PINNED_STDOUT = {
+    "scan --exhaustive 6": "b570f93b84e448c3eee2c43500f4decc14365f8c09c757646bd8c24b47bd8054",
+    "verify --gnp n=10,p=0.5,count=100,seed=7 --emit json":
+        "7cbcffc4bf474c23cfc16d1b9e9e7db0070a8b4267e3757002430db8a36c594a",
+    "verify --gnp n=10,p=0.5,count=100,seed=1000000 --emit json --stabilization-limit 12":
+        "bf931b398f3f72256bc2bd2ca2e2042cf5c0d20e6dd7b2761dbad27b6dbe123f",
+    "analyze --gnp n=9,p=0.4,count=30,seed=3 --emit json --stabilization-limit 18":
+        "598f120a49d4450457d3f2605239df7ed8be1b7eddd784d43bab69fe55ffe449",
+    "analyze --gnp n=12,p=0.5,count=100,seed=1000000 --emit json":
+        "1046dd446de81eac1939368e89a5a4be6f4199323a0c6007597f66edb5cd9eb3",
+}
+
+
+@pytest.mark.parametrize("args", PINNED_STDOUT)
+def test_stdout_bytes_pinned(args):
+    result = run_cli(*args.split())
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == PINNED_STDOUT[args]
 
 
 def test_analyze_csv_shape():
@@ -184,7 +213,7 @@ def test_jobs_flag_verify_and_scan_identical():
 def test_out_file_matches_stdout(tmp_path, args):
     path = tmp_path / "out.txt"
     to_stdout = subprocess.run(
-        [sys.executable, "-m", "deltasets", *args], capture_output=True, timeout=300
+        [sys.executable, "-m", "deltasets", *args], capture_output=True, timeout=300, env=cli_env()
     )
     to_file = run_cli(*args, "--out", str(path))
     assert to_stdout.returncode == to_file.returncode == 0

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from oracles import brute_max_size, brute_stabilization_index
@@ -116,6 +118,22 @@ def test_one_exponent_cap_bounds_all_three_staircases(monkeypatch):
             staircase(g, 1)
     with pytest.raises(StabilizationError, match="at k=2"):
         stabilization_index(g)
+
+
+def test_small_weight_sum_matches_pointwise_rule():
+    # every nonempty degree multiset of s <= n members with degrees < n, for
+    # n <= 10: the base-(n+1) weight sum is within thr[s] iff max + s <= n
+    from deltasets.extremal import _part_arithmetic
+
+    checked = 0
+    for n in range(1, 11):
+        weight, thr = _part_arithmetic(n, tuple(range(n)), "small", 0)
+        for s in range(1, n + 1):
+            for degs in itertools.combinations_with_replacement(range(n), s):
+                fits = sum(weight[d] for d in degs) <= thr[s]
+                assert fits == (degs[-1] + s <= n), (n, degs)
+                checked += 1
+    assert checked == 250_942
 
 
 def test_size_curve_non_increasing_and_window(zoo):
